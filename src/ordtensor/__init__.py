@@ -5,12 +5,10 @@ from .ordinal import OMEGA, ONE, ZERO, Ordinal, compare, omega_pow, parse_ordina
 from .schreier import (
     Base,
     Conv,
-    canonical_rep,
     decompose,
     family_str,
     is_maximal,
     member,
-    node_rank,
     parse_family,
     split_blocks,
 )

@@ -150,7 +150,6 @@ class ScenarioConfig:
     xi: str = "0"
     zeta: str = "0"
     stream: str = "3"
-    trunc: int = 12
     max_root: int = 10
     block_budget: int = 5000
     blocks: int = 3
@@ -192,22 +191,22 @@ def run_perm_suite(cfg: ScenarioConfig) -> Report:
     )
     xi, zeta = parse_ordinal(cfg.xi), parse_ordinal(cfg.zeta)
     fam = Conv(zeta, xi)
-    blocks: list[tuple[int, ...]] = []
-    for k in range(1, cfg.blocks + 1):
-        try:
-            blocks = list(
-                decompose(fam, make_stream(cfg.stream), k, max_elements=cfg.block_budget)
-            )
-        except BudgetExceeded:
-            rep.skip(
-                f"block-{k}",
-                "weights-block-materialization",
-                f"block {k} needs more than {cfg.block_budget} stream elements",
-            )
-            break
-        except StreamExhausted as e:
-            rep.skip(f"block-{k}", "weights-block-materialization", str(e))
-            break
+    blocks: tuple[tuple[int, ...], ...] = ()
+    try:
+        if cfg.blocks > 0:
+            blocks = decompose(fam, make_stream(cfg.stream), cfg.blocks,
+                               max_elements=cfg.block_budget)
+    except BudgetExceeded as e:
+        blocks = e.blocks
+        k = len(blocks) + 1
+        rep.skip(
+            f"block-{k}",
+            "weights-block-materialization",
+            f"block {k} needs more than {cfg.block_budget} stream elements",
+        )
+    except StreamExhausted as e:
+        blocks = e.blocks
+        rep.skip(f"block-{len(blocks) + 1}", "weights-block-materialization", str(e))
     if blocks:
         result = verify_perm(xi, zeta, blocks)
         sizes = [len(b) for b in blocks]
@@ -864,7 +863,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--xi", default="0", help="ordinal literal, e.g. 'w^2*3 + 1'")
     p.add_argument("--zeta", default="0", help="ordinal literal")
     p.add_argument("--stream", default="3", help="stream literal, e.g. '3' or '2,5,...'")
-    p.add_argument("--trunc", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")

@@ -1,8 +1,7 @@
 """Schreier families S_xi and their convolutions S_zeta[S_xi].
 
 Membership, maximality, decomposition of integer streams into successive
-maximal members, canonical representations of convolution members, and
-node ranks in the derived-tree hierarchy.
+maximal members, and node ranks in the derived-tree hierarchy.
 
 Finite sets are plain tuples of strictly increasing positive integers.
 Infinite sets are represented by caller-supplied iterators of strictly
@@ -34,9 +33,7 @@ __all__ = [
     "member",
     "is_maximal",
     "split_blocks",
-    "canonical_rep",
     "decompose",
-    "node_rank",
     "node_rank_brute",
     "node_rank_exact",
     "least_shift",
@@ -75,9 +72,13 @@ Family = Union[Base, Conv]
 class StreamExhausted(Exception):
     """An integer stream ended before the requested block completed."""
 
+    blocks: tuple[tuple[int, ...], ...] = ()  # completed before the cut
+
 
 class BudgetExceeded(Exception):
     """A materialization budget was hit before the block completed."""
+
+    blocks: tuple[tuple[int, ...], ...] = ()  # completed before the cut
 
 
 def as_finite_set(values: Iterable[int]) -> tuple[int, ...]:
@@ -138,6 +139,43 @@ def _base_block_end(xi: Ordinal, source, start: int) -> int:
     return pos
 
 
+class _MinimaView:
+    """Presents the minima of successive S_xi blocks as a sequence.
+
+    Inner blocks are walked only as far as the outer walk asks, so a
+    convolution block never looks past its own end.
+    """
+
+    def __init__(self, xi: Ordinal, source, start: int):
+        self._xi = xi
+        self._source = source
+        self._positions = [start]
+
+    def get(self, i: int) -> int:
+        return self._source.get(self.position(i))
+
+    def position(self, i: int) -> int:
+        while len(self._positions) <= i:
+            self._positions.append(
+                _base_block_end(self._xi, self._source, self._positions[-1])
+            )
+        return self._positions[i]
+
+
+def _take_block(fam: Family, source, start: int) -> int:
+    """Index just past the maximal fam-block starting at ``start``.
+
+    Pulls exactly the elements it needs from the source.  Against a live
+    stream the block returned is a complete maximal member (the stream
+    raises on exhaustion); against a finite :class:`_TupleSource` an
+    exhausted sequence cuts the block short at its end.
+    """
+    if isinstance(fam, Base):
+        return _base_block_end(fam.xi, source, start)
+    view = _MinimaView(fam.xi, source, start)
+    return view.position(_base_block_end(fam.zeta, view, 0))
+
+
 def _block_len(fam: Family, seq: tuple[int, ...], start: int) -> int:
     """Length of the greedy fam-block of ``seq`` beginning at ``start``.
 
@@ -145,20 +183,7 @@ def _block_len(fam: Family, seq: tuple[int, ...], start: int) -> int:
     ``seq[start:]`` begin to spell out; if the sequence ends first, the
     (partial) remainder consumed so far is returned.
     """
-    n = len(seq)
-    if start >= n:
-        return 0
-    if isinstance(fam, Base):
-        return _base_block_end(fam.xi, _TupleSource(seq), start) - start
-    # convolution: inner blocks whose minima spell a maximal outer block
-    source = _TupleSource(seq)
-    positions = [start]
-    minima = []
-    while positions[-1] < n:
-        minima.append(seq[positions[-1]])
-        positions.append(_base_block_end(fam.xi, source, positions[-1]))
-    outer_len = _block_len(Base(fam.zeta), tuple(minima), 0)
-    return positions[outer_len] - start
+    return _take_block(fam, _TupleSource(seq), start) - start
 
 
 def member(fam: Family, E: Iterable[int]) -> bool:
@@ -206,22 +231,6 @@ def split_blocks(fam: Family, E: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def canonical_rep(fam: Conv, E: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Canonical representation of a convolution member.
-
-    ``E = E_1 u ... u E_m`` with each ``E_i`` in S_xi, all but the last
-    maximal in S_xi, and the minima forming an S_zeta set.
-    """
-    if not isinstance(fam, Conv):
-        raise TypeError("canonical_rep applies to convolution families")
-    E = as_finite_set(E)
-    if not E:
-        raise ValueError("the empty set has no canonical representation")
-    if not _member(fam, E):
-        raise ValueError(f"{E} is not a member of {family_str(fam)}")
-    return split_blocks(Base(fam.xi), E)
-
-
 # -- streams ----------------------------------------------------------
 
 
@@ -255,44 +264,6 @@ class _Buffered:
         return tuple(self._buf[start:end])
 
 
-class _MinimaView:
-    """Presents the minima of successive inner blocks as a sequence."""
-
-    def __init__(self, inner: Family, bs, start: int):
-        self._inner = inner
-        self._bs = bs
-        self._positions = [start]
-
-    def get(self, i: int) -> int:
-        while len(self._positions) <= i:
-            self._positions.append(
-                _take_block(self._inner, self._bs, self._positions[-1])
-            )
-        # make sure the block actually starts (pulls the element)
-        return self._bs.get(self._positions[i])
-
-    def position(self, i: int) -> int:
-        while len(self._positions) <= i:
-            self._positions.append(
-                _take_block(self._inner, self._bs, self._positions[-1])
-            )
-        return self._positions[i]
-
-
-def _take_block(fam: Family, bs, start: int) -> int:
-    """Index just past the maximal fam-block starting at ``start``.
-
-    Unlike :func:`_block_len` this works against a live stream and pulls
-    exactly the elements it needs; the block returned is always a
-    complete maximal member (the stream source raises on exhaustion).
-    """
-    if isinstance(fam, Base):
-        return _base_block_end(fam.xi, bs, start)
-    view = _MinimaView(Base(fam.xi), bs, start)
-    outer_len = _base_block_end(fam.zeta, view, 0)
-    return view.position(outer_len)
-
-
 def decompose(
     fam: Family,
     stream: Iterable[int],
@@ -305,41 +276,26 @@ def decompose(
     The blocks are the successive maximal members of ``fam`` whose union
     is an initial segment of the stream.  Raises
     :class:`StreamExhausted` if the stream ends first, and
-    :class:`BudgetExceeded` if ``max_elements`` is hit.
+    :class:`BudgetExceeded` if ``max_elements`` is hit; either way the
+    exception's ``blocks`` holds the blocks completed before it.
     """
     if k < 1:
         raise ValueError("k must be positive")
     bs = _Buffered(stream, max_elements)
     blocks = []
     pos = 0
-    for _ in range(k):
-        end = _take_block(fam, bs, pos)
-        blocks.append(bs.slice(pos, end))
-        pos = end
+    try:
+        for _ in range(k):
+            end = _take_block(fam, bs, pos)
+            blocks.append(bs.slice(pos, end))
+            pos = end
+    except (StreamExhausted, BudgetExceeded) as e:
+        e.blocks = tuple(blocks)
+        raise
     return tuple(blocks)
 
 
 # -- node ranks in the derived-tree hierarchy --------------------------
-
-
-def node_rank(fam: Family, E: Iterable[int], trunc: int) -> int:
-    """Rank of E in the derived trees of the family, truncated to [1, trunc].
-
-    For S_1 the exact closed form ``min E - |E|`` is returned.  For
-    other families the rank is computed by brute-force derived-tree
-    iteration on the restriction of the family to subsets of
-    ``[1, trunc]``; this is a lower bound of the untruncated rank and is
-    exact when ``trunc`` is large enough that every extension of E
-    inside the family fits below it.
-    """
-    E = as_finite_set(E)
-    if not E:
-        raise ValueError("rank of the empty node is not defined")
-    if not _member(fam, E):
-        raise ValueError(f"{E} is not a member of {family_str(fam)}")
-    if isinstance(fam, Base) and fam.xi == ONE:
-        return E[0] - len(E)
-    return node_rank_brute(fam, E, trunc)
 
 
 def node_rank_brute(fam: Family, E: Iterable[int], trunc: int) -> int:

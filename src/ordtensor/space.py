@@ -355,10 +355,6 @@ class AtomicMeasure:
         return [{"point": str(pt), "weight": str(w)} for pt, w in self.atoms]
 
 
-def pair(mu: AtomicMeasure, f: StepFunction) -> Fraction:
-    return mu.pair(f)
-
-
 # -- Cantor schemes and Rademacher measures -----------------------------
 
 Sign = tuple[int, ...]

@@ -112,7 +112,7 @@ def _signs(k: int, fix_first: bool = False) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _check_lp_budget(m: int, n: int, max_constraints: int):
+def _check_lp_budget(m: int, n: int):
     if min(m, n) > MAX_LP_SIDE:
         raise BudgetError(
             f"matrix min side {min(m, n)} exceeds the LP budget {MAX_LP_SIDE}"
@@ -163,8 +163,8 @@ class PiSolver:
     iterations); the constraint structure is objective-independent.
     """
 
-    def __init__(self, m: int, n: int, max_constraints: int = MAX_CONSTRAINTS):
-        _check_lp_budget(m, n, max_constraints)
+    def __init__(self, m: int, n: int):
+        _check_lp_budget(m, n)
         self.m, self.n = m, n
         self.E = _signs(m, fix_first=True)
         self._rows: list[np.ndarray] = []
@@ -270,7 +270,7 @@ class PiSolver:
         return value, DualCertificate(B, max(bound, 1e-300))
 
 
-def pi_norm(u, *, max_constraints: int = MAX_CONSTRAINTS) -> tuple[float, DualCertificate]:
+def pi_norm(u) -> tuple[float, DualCertificate]:
     """Projective norm with an optimal dual certificate.
 
     One-shot interface over :class:`PiSolver`; the matrix is oriented so
@@ -281,7 +281,7 @@ def pi_norm(u, *, max_constraints: int = MAX_CONSTRAINTS) -> tuple[float, DualCe
     transposed = U.shape[0] > U.shape[1]
     if transposed:
         U = U.T
-    value, cert = PiSolver(*U.shape, max_constraints=max_constraints).solve(U)
+    value, cert = PiSolver(*U.shape).solve(U)
     if transposed:
         cert = DualCertificate(cert.matrix.T, cert.bound)
     return value, cert
@@ -348,7 +348,7 @@ def weak_p_norm_vec(xs: Sequence, p: float) -> float:
     return float((np.abs(arr) ** p).sum(axis=0).max() ** (1.0 / p))
 
 
-def weak_1_norm_pi(us: Sequence, *, max_constraints: int = MAX_CONSTRAINTS) -> float:
+def weak_1_norm_pi(us: Sequence) -> float:
     """Exact weakly 1-summing norm of matrices under the projective norm.
 
     Enumerates all sign patterns (the extreme points of the l_inf ball
@@ -361,7 +361,7 @@ def weak_1_norm_pi(us: Sequence, *, max_constraints: int = MAX_CONSTRAINTS) -> f
     stack = np.stack(mats)
     if stack.shape[1] > stack.shape[2]:
         stack = stack.transpose(0, 2, 1)
-    solver = PiSolver(*stack.shape[1:], max_constraints=max_constraints)
+    solver = PiSolver(*stack.shape[1:])
     best = 0.0
     for signs in product((-1.0, 1.0), repeat=k - 1):
         a = np.array((1.0,) + signs)
@@ -376,7 +376,6 @@ def weak_2_norm_pi_lower(
     samples: int = 64,
     seed: int = 0,
     ascent_steps: int = 8,
-    max_constraints: int = MAX_CONSTRAINTS,
 ) -> float:
     """Seeded lower bound for the weakly 2-summing projective norm.
 
@@ -391,7 +390,7 @@ def weak_2_norm_pi_lower(
         stack = stack.transpose(0, 2, 1)
     mats = list(stack)
     k = len(mats)
-    solver = PiSolver(*stack.shape[1:], max_constraints=max_constraints)
+    solver = PiSolver(*stack.shape[1:])
     rng = np.random.default_rng(seed)
     starts = [np.eye(k)[i] for i in range(k)]
     for _ in range(samples):

@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .ordinal import ONE, Ordinal, as_ordinal
 from .schreier import (
     Base,
     Conv,
+    Family,
     as_finite_set,
     decompose,
     is_maximal,
@@ -42,7 +43,6 @@ __all__ = [
     "avg",
     "avg2",
     "avg2_terms",
-    "segment_prefixes",
     "verify_perm",
     "PermReport",
 ]
@@ -83,9 +83,6 @@ class Weight:
         object.__setattr__(self, "radicand", rad)
         if self.ratio <= 0:
             raise ValueError("weights are strictly positive")
-
-    def div_sqrt(self, m: int) -> "Weight":
-        return Weight(self.ratio, self.radicand * m)
 
     def __mul__(self, other):
         if isinstance(other, Weight):
@@ -162,7 +159,53 @@ class RadicalSum:
         return "RadicalSum(" + " + ".join(parts) + ")"
 
 
-# -- the weight recursions ---------------------------------------------
+# -- the weight descents ------------------------------------------------
+#
+# Both weights are reciprocals of one integer: the product of the block
+# minima met at successor levels of a greedy descent, through S_xi for
+# p (taken as is) and through S_zeta[S_xi] for q (under a square root).
+
+
+def _family(level: Ordinal, inner: Ordinal | None) -> Family:
+    return Base(level) if inner is None else Conv(level, inner)
+
+
+def _descent(level: Ordinal, inner: Ordinal | None, E: tuple[int, ...]) -> int:
+    """Product of the minima along the descent into the last block of E."""
+    r = 1
+    while not level.is_zero():
+        E = split_blocks(_family(level, inner), E)[-1]
+        if level.classify() == "successor":
+            r *= E[0]
+            level = level.predecessor()
+        else:
+            level = level.fundamental(E[0]) + ONE
+    return r
+
+
+def _prefix_descent(level: Ordinal, inner: Ordinal | None, E: tuple[int, ...]) -> list[int]:
+    """The :func:`_descent` product of every initial segment of E.
+
+    Greedy splits of a prefix truncate those of the full set, so all
+    prefixes share one descent, run on an explicit work stack.
+    """
+    out = [1] * len(E)
+    stack = [(level, 0, len(E), 1)]
+    while stack:
+        level, a, b, r = stack.pop()
+        if level.is_zero():
+            out[a:b] = [r] * (b - a)
+            continue
+        successor = level.classify() == "successor"
+        c = a
+        for block in split_blocks(_family(level, inner), E[a:b]):
+            d = c + len(block)
+            if successor:
+                stack.append((level.predecessor(), c, d, r * E[c]))
+            else:
+                stack.append((level.fundamental(E[c]) + ONE, c, d, r))
+            c = d
+    return out
 
 
 def p_weight(xi, E) -> Fraction:
@@ -175,16 +218,7 @@ def p_weight(xi, E) -> Fraction:
 
 @lru_cache(maxsize=1 << 16)
 def _p(xi: Ordinal, E: tuple[int, ...]) -> Fraction:
-    if xi.is_zero():
-        return Fraction(1)
-    if xi.classify() == "successor":
-        mu = xi.predecessor()
-        last = split_blocks(Base(xi), E)[-1]
-        inner_last = split_blocks(Base(mu), last)[-1]
-        return _p(mu, inner_last) / last[0]
-    last = split_blocks(Base(xi), E)[-1]
-    nu = xi.fundamental(last[0])
-    return _p(nu + ONE, last)
+    return Fraction(1, _descent(xi, None, E))
 
 
 def q_weight(xi, zeta, E) -> Weight:
@@ -195,82 +229,27 @@ def q_weight(xi, zeta, E) -> Weight:
     return _q(as_ordinal(xi), as_ordinal(zeta), E)
 
 
+@lru_cache(maxsize=1 << 16)
+def _q(xi: Ordinal, zeta: Ordinal, E: tuple[int, ...]) -> Weight:
+    return Weight(Fraction(1), _descent(zeta, xi, E))
+
+
 def p_prefix_weights(xi, E) -> list[Fraction]:
-    """p_weight of every initial segment of E, in one pass.
+    """p_weight of every initial segment of E, in one descent.
 
-    The weight of a prefix is a product of reciprocals of block minima
-    along a nested chain of greedy blocks, and greedy splits of a prefix
-    truncate the splits of the full set, so all prefixes can share one
-    descent.  Agrees with :func:`p_weight` term by term (tested); meant
-    for long blocks where the per-prefix recursion would be quadratic.
+    Agrees with :func:`p_weight` term by term (tested); meant for long
+    blocks, where evaluating each prefix on its own would be quadratic.
     """
-    E = as_finite_set(E)
-    xi = as_ordinal(xi)
-    out: list[Fraction | None] = [None] * len(E)
-
-    def go(level: Ordinal, a: int, b: int, factor: Fraction):
-        if level.is_zero():
-            for j in range(a, b):
-                out[j] = factor
-            return
-        kind = level.classify()
-        c = a
-        for block in split_blocks(Base(level), E[a:b]):
-            d = c + len(block)
-            if kind == "successor":
-                go(level.predecessor(), c, d, factor / E[c])
-            else:
-                nu = level.fundamental(E[c])
-                go(nu + ONE, c, d, factor)
-            c = d
-
-    go(xi, 0, len(E), Fraction(1))
-    return out  # type: ignore[return-value]
+    rs = _prefix_descent(as_ordinal(xi), None, as_finite_set(E))
+    weights = {r: Fraction(1, r) for r in set(rs)}
+    return [weights[r] for r in rs]
 
 
 def q_prefix_weights(xi, zeta, E) -> list[Weight]:
-    """q_weight of every initial segment of E, in one pass.
-
-    Same sharing as :func:`p_prefix_weights`; the radicand accumulates
-    the block minima met along the descent through the convolution
-    levels."""
-    E = as_finite_set(E)
-    xi, zeta = as_ordinal(xi), as_ordinal(zeta)
-    out: list[Weight | None] = [None] * len(E)
-
-    def go(level: Ordinal, a: int, b: int, radicand: int):
-        if level.is_zero():
-            w = Weight(Fraction(1), radicand)
-            for j in range(a, b):
-                out[j] = w
-            return
-        kind = level.classify()
-        c = a
-        for block in split_blocks(Conv(level, xi), E[a:b]):
-            d = c + len(block)
-            if kind == "successor":
-                go(level.predecessor(), c, d, radicand * E[c])
-            else:
-                nu = level.fundamental(E[c])
-                go(nu + ONE, c, d, radicand)
-            c = d
-
-    go(zeta, 0, len(E), 1)
-    return out  # type: ignore[return-value]
-
-
-@lru_cache(maxsize=1 << 16)
-def _q(xi: Ordinal, zeta: Ordinal, E: tuple[int, ...]) -> Weight:
-    if zeta.is_zero():
-        return Weight(Fraction(1))
-    if zeta.classify() == "successor":
-        nu = zeta.predecessor()
-        last = split_blocks(Conv(zeta, xi), E)[-1]
-        inner_last = split_blocks(Conv(nu, xi), last)[-1]
-        return _q(xi, nu, inner_last).div_sqrt(last[0])
-    last = split_blocks(Conv(zeta, xi), E)[-1]
-    nu = zeta.fundamental(last[0])
-    return _q(xi, nu + ONE, last)
+    """q_weight of every initial segment of E, in one descent."""
+    rs = _prefix_descent(as_ordinal(zeta), as_ordinal(xi), as_finite_set(E))
+    weights = {r: Weight(Fraction(1), r) for r in set(rs)}
+    return [weights[r] for r in rs]
 
 
 # -- averaging operators -----------------------------------------------
@@ -278,14 +257,6 @@ def _q(xi: Ordinal, zeta: Ordinal, E: tuple[int, ...]) -> Weight:
 
 def _default_scale(c, v):
     return c * v
-
-
-def segment_prefixes(blocks: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Initial segments of the union strictly extending the first n-1 blocks."""
-    blocks = list(blocks)
-    full = tuple(chain.from_iterable(blocks[:n]))
-    start = len(full) - len(blocks[n - 1])
-    return [full[:j] for j in range(start + 1, len(full) + 1)]
 
 
 def avg(xi, stream, u: Mapping, n: int, *, scale=None, max_elements=None):

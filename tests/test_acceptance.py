@@ -22,8 +22,8 @@ from ordtensor.schreier import (
     Conv,
     decompose,
     member,
-    node_rank,
     node_rank_brute,
+    node_rank_exact,
 )
 from ordtensor.space import (
     compatible,
@@ -298,8 +298,7 @@ def test_criterion_11_rank_oracles():
     ok = True
     for E in subsets(range(1, 11)):
         if E and member(Base(1), E):
-            trunc = 2 * E[-1]
-            if node_rank(Base(1), E, trunc) != node_rank_brute(Base(1), E, trunc):
+            if node_rank_exact(Base(1), E) != F(node_rank_brute(Base(1), E, 2 * E[-1])):
                 ok = False
     for gamma in (1, 2):
         handle = build_tree(gamma, max_root=4)

@@ -8,13 +8,11 @@ from ordtensor.schreier import (
     BudgetExceeded,
     Conv,
     StreamExhausted,
-    canonical_rep,
     decompose,
     family_str,
     is_maximal,
     least_shift,
     member,
-    node_rank,
     node_rank_brute,
     node_rank_exact,
     parse_family,
@@ -123,6 +121,22 @@ class TestDecompose:
         with pytest.raises(BudgetExceeded):
             decompose(Base(2), count(3), 2, max_elements=100)
 
+    def test_errors_carry_completed_blocks(self):
+        with pytest.raises(StreamExhausted) as err:
+            decompose(Base(1), iter([3, 4, 5, 6, 7]), 2)
+        assert err.value.blocks == ((3, 4, 5),)
+        with pytest.raises(BudgetExceeded) as err:
+            decompose(Base(2), count(3), 2, max_elements=100)
+        assert err.value.blocks == decompose(Base(2), count(3), 1)
+
+    @pytest.mark.parametrize(
+        "fam, start", [(Conv(1, 1), 2), (Conv(2, 1), 1)], ids=["S[1][S[1]]", "S[2][S[1]]"]
+    )
+    def test_split_returns_partial_last_block(self, fam, start):
+        first, second = decompose(fam, count(start), 2)
+        for cut in (1, len(second) // 2, len(second) - 1):
+            assert split_blocks(fam, first + second[:cut]) == (first, second[:cut])
+
 
 class TestDecomposeFuzz:
     """Sparse random streams: blocks stay maximal members whose union is
@@ -155,19 +169,24 @@ class TestDecomposeFuzz:
 
 
 class TestCanonicalRep:
+    # the canonical representation of a convolution member is its greedy
+    # split into S_xi blocks
     def test_examples(self):
-        assert canonical_rep(Conv(1, 0), (3, 4)) == ((3,), (4,))
-        assert canonical_rep(Conv(1, 1), (2, 3, 5, 6, 7)) == ((2, 3), (5, 6, 7))
+        assert member(Conv(1, 0), (3, 4))
+        assert split_blocks(Base(0), (3, 4)) == ((3,), (4,))
+        assert member(Conv(1, 1), (2, 3, 5, 6, 7))
+        assert split_blocks(Base(1), (2, 3, 5, 6, 7)) == ((2, 3), (5, 6, 7))
         for E in subsets(range(1, 9)):
             if E and member(Base(2), E):
-                assert canonical_rep(Conv(0, 2), E) == (E,)
+                assert member(Conv(0, 2), E)
+                assert split_blocks(Base(2), E) == (E,)
 
     def test_properties(self):
         fam = Conv(1, 1)
         for E in subsets(range(1, 9)):
             if not E or not member(fam, E):
                 continue
-            blocks = canonical_rep(fam, E)
+            blocks = split_blocks(Base(fam.xi), E)
             assert tuple(chain.from_iterable(blocks)) == E
             for b in blocks[:-1]:
                 assert is_maximal(Base(1), b)
@@ -175,10 +194,9 @@ class TestCanonicalRep:
             assert member(Base(1), tuple(b[0] for b in blocks))
 
     def test_errors(self):
-        with pytest.raises(TypeError):
-            canonical_rep(Base(1), (2, 3))
+        assert not member(Conv(1, 1), (1, 2, 3))
         with pytest.raises(ValueError):
-            canonical_rep(Conv(1, 1), (1, 2, 3))
+            split_blocks(Base(1), ())
 
 
 class TestSuccessoridentity:
@@ -190,15 +208,15 @@ class TestSuccessoridentity:
 
 class TestNodeRank:
     def test_examples(self):
-        assert node_rank(Base(1), (5,), 20) == 4
-        assert node_rank(Base(1), (3, 4, 5), 20) == 0
+        assert node_rank_exact(Base(1), (5,)) == F(4)
+        assert node_rank_exact(Base(1), (3, 4, 5)) == F(0)
         assert node_rank_brute(Base(2), (2, 3), 12) >= 1
 
     def test_closed_form_matches_brute(self):
         for E in subsets(range(1, 11)):
             if E and member(Base(1), E):
-                assert node_rank(Base(1), E, 2 * E[-1]) == node_rank_brute(
-                    Base(1), E, 2 * E[-1]
+                assert node_rank_exact(Base(1), E) == F(
+                    node_rank_brute(Base(1), E, 2 * E[-1])
                 )
 
     def test_exact_base_two_closed_form(self):
@@ -226,7 +244,7 @@ class TestNodeRank:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            node_rank(Base(1), (2, 5, 7), 20)
+            node_rank_exact(Base(1), (2, 5, 7))
         with pytest.raises(NotImplementedError):
             node_rank_exact(Base(3), (2,))
 

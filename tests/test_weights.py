@@ -86,6 +86,12 @@ class TestPWeight:
                 for j in range(1, len(E) + 1):
                     assert ps[j - 1] == p_weight(xi, E[:j])
 
+    def test_deep_limit_level(self):
+        # min 500 sends the S_w descent through 501 successor levels
+        E = tuple(range(500, 508))
+        assert p_weight(OMEGA, E) == p_prefix_weights(OMEGA, E)[-1]
+        assert p_weight(OMEGA, E) == Fraction(1, 500**501)
+
 
 class TestQWeight:
     def test_examples(self):
@@ -112,6 +118,11 @@ class TestQWeight:
                 qs = q_prefix_weights(xi, zeta, E)
                 for j in range(1, len(E) + 1):
                     assert qs[j - 1] == q_weight(xi, zeta, E[:j])
+
+    def test_deep_limit_level(self):
+        E = tuple(range(500, 508))
+        assert q_weight(0, OMEGA, E) == q_prefix_weights(0, OMEGA, E)[-1]
+        assert q_weight(0, OMEGA, E) == Weight(Fraction(1), 500**501)
 
     def test_q_constant_between_maximal_inner_blocks(self):
         blocks = decompose(Conv(1, 1), count(3), 1)
