@@ -16,6 +16,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import operator
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -63,8 +65,9 @@ from .weights import (
     RadicalSum,
     Weight,
     avg,
-    avg2_terms,
+    p_prefix_weights,
     p_weight,
+    q_prefix_weights,
     q_weight,
     verify_perm,
 )
@@ -183,6 +186,8 @@ def make_stream(text: str) -> Iterator[int]:
 
 def run_perm_suite(cfg: ScenarioConfig) -> Report:
     """Exact verification of the four weight identities on one stream."""
+    if cfg.blocks < 1:
+        raise ValueError(f"blocks must be at least 1, got {cfg.blocks}")
     t0 = time.time()
     rep = Report(
         "perm",
@@ -191,11 +196,9 @@ def run_perm_suite(cfg: ScenarioConfig) -> Report:
     )
     xi, zeta = parse_ordinal(cfg.xi), parse_ordinal(cfg.zeta)
     fam = Conv(zeta, xi)
-    blocks: tuple[tuple[int, ...], ...] = ()
     try:
-        if cfg.blocks > 0:
-            blocks = decompose(fam, make_stream(cfg.stream), cfg.blocks,
-                               max_elements=cfg.block_budget)
+        blocks = decompose(fam, make_stream(cfg.stream), cfg.blocks,
+                           max_elements=cfg.block_budget)
     except BudgetExceeded as e:
         blocks = e.blocks
         k = len(blocks) + 1
@@ -334,6 +337,18 @@ def run_family_suite(cfg: ScenarioConfig) -> Report:
 # -- sharpness: the lower-bound construction ------------------------------
 
 
+def _common_denominator(values) -> tuple[list[int], int]:
+    """Exact rationals (or dyadic floats) as integers over one denominator."""
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def _exact_dot(a: tuple[list[int], int], b: tuple[list[int], int]) -> Fraction:
+    """Exact dot product of two :func:`_common_denominator` rows."""
+    return Fraction(sum(map(operator.mul, a[0], b[0])), a[1] * b[1])
+
+
 def _segments(path):
     """Group prefix indices by their assigned tree node, in order."""
     segs = []
@@ -424,8 +439,19 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
     )
 
     depths = [len(nd) for nd in nodes]
+    # every branch function evaluated once at the selector atoms; the
+    # exact pairings and the tensor matrix below all read this table
+    leaves = scheme.leaves()
+    atom_of = [selector[d] for d in leaves]
+    values = [[f(pt) for pt in atom_of] for f in branch_funcs]
+    f_rows = [_common_denominator(row) for row in values]
+    mu_rows = []
+    for mu in mus:
+        weight = dict(mu.atoms)
+        mu_rows.append(_common_denominator([weight.get(pt, 0) for pt in atom_of]))
     bio = [
-        [mus[di - 1].pair(branch_funcs[dj - 1]) for dj in depths] for di in depths
+        [_exact_dot(mu_rows[di - 1], f_rows[dj - 1]) for dj in depths]
+        for di in depths
     ]
     bio_ok = all(
         bio[i][j] == (1 if i == j else 0) for i in range(m) for j in range(m)
@@ -439,7 +465,9 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
         True,
     )
 
-    terms = avg2_terms(xi, one_plus, iter(E), 1)
+    # (last element, q, p) for every initial segment of E, which is
+    # itself the first maximal S_(1+zeta)[S_xi] block of the stream
+    terms = list(zip(E, q_prefix_weights(xi, one_plus, E), p_prefix_weights(xi, E)))
     seg_of = {}
     for seg_idx, (_, idxs) in enumerate(segs):
         for i in idxs:
@@ -464,10 +492,10 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
     # sum_i a_i mu_(depth_i) x dirac_(block_i)
     block_sets = [frozenset(b) for b in inner_blocks]
     pairing = RadicalSum()
-    for idx, (F, q, p) in enumerate(terms):
+    for idx, (x, q, p) in enumerate(terms):
         sj = seg_of[idx]
         for i in range(m):
-            coord = 1 if F[-1] in block_sets[i] else 0
+            coord = 1 if x in block_sets[i] else 0
             if coord:
                 pairing.add(q * a_weights[i], p * bio[i][sj])
     pairing_ok = pairing == 1
@@ -481,16 +509,10 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
     )
 
     # the averaged tensor as a matrix: certificate rows x selector atoms
-    leaves = scheme.leaves()
-    atom_of = [selector[d] for d in leaves]
     coeff = [0.0] * m
-    for idx, (F, q, p) in enumerate(terms):
+    for idx, (_, q, p) in enumerate(terms):
         coeff[seg_of[idx]] += float(q) * float(p)
-    V = np.zeros((m, len(leaves)))
-    for i in range(m):
-        f = branch_funcs[depths[i] - 1]
-        for c, pt in enumerate(atom_of):
-            V[i, c] = coeff[i] * f(pt)
+    V = np.array([[coeff[i] * v for v in values[depths[i] - 1]] for i in range(m)])
 
     lp_ok = m <= MAX_LP_SIDE and len(leaves) <= MAX_LP_SIDE
     if lp_ok:
@@ -514,16 +536,12 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
     # exact Rademacher route: the Gram identity certifies the weak-2
     # bound of the measures, hence feasibility of the dual functional
     denom = Fraction(1, 2**depth)
-    lookup = [dict(mus[di - 1].atoms) for di in depths]
-    gram_ok = True
-    for i in range(m):
-        for j in range(m):
-            dot = sum(
-                (lookup[i].get(pt, Fraction(0)) * lookup[j].get(pt, Fraction(0))
-                 for pt in atom_of),
-                Fraction(0),
-            )
-            gram_ok = gram_ok and dot == (denom if i == j else 0)
+    gram_ok = all(
+        _exact_dot(mu_rows[depths[i] - 1], mu_rows[depths[j] - 1])
+        == (denom if i == j else 0)
+        for i in range(m)
+        for j in range(m)
+    )
     rep.add(
         "rademacher gram identity",
         "rademacher-gram-orthogonality",
@@ -948,7 +966,16 @@ def main(argv=None) -> int:
         _add_common(sp)
 
     args = parser.parse_args(argv)
+    try:
+        return _run_command(args)
+    except (ValueError, BudgetExceeded, StreamExhausted) as e:
+        # bad input (or an input past a budget): one line, exit code 2,
+        # so that exit code 1 keeps meaning "a check failed"
+        print(f"ordtensor: error: {e}", file=sys.stderr)
+        return 2
 
+
+def _run_command(args) -> int:
     if args.command == "schreier":
         fam = parse_family(args.family)
         if args.action == "member":

@@ -44,7 +44,7 @@ class Ordinal:
             if c < 1:
                 raise ValueError("coefficients must be positive")
         for (ea, _), (eb, _) in zip(terms, terms[1:]):
-            if compare(eb, ea) >= 0:
+            if eb >= ea:
                 raise ValueError("exponents must be strictly decreasing")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", hash(terms))
@@ -107,8 +107,8 @@ class Ordinal:
         if self.is_zero():
             return other
         e = other.terms[0][0]
-        kept = [t for t in self.terms if compare(t[0], e) > 0]
-        rest = [t for t in self.terms if compare(t[0], e) == 0]
+        kept = [t for t in self.terms if t[0] > e]
+        rest = [t for t in self.terms if t[0] == e]
         if rest:
             merged = (e, rest[0][1] + other.terms[0][1])
             return Ordinal(tuple(kept) + (merged,) + other.terms[1:])
@@ -162,7 +162,7 @@ class Ordinal:
         if not self.terms:
             raise ValueError("delta exceeds the ordinal")
         (e, c) = self.terms[0]
-        if compare(e, de) != 0:
+        if e != de:
             # leading exponent strictly larger: delta is absorbed
             return self
         if c < dc:
@@ -172,27 +172,30 @@ class Ordinal:
         return Ordinal(((e, c - dc),) + self.terms[1:])
 
     # -- comparisons and hashing -------------------------------------
+    #
+    # CNF order is lexicographic on the (exponent, coefficient) pairs,
+    # with a proper prefix below its extensions: exactly Python's tuple
+    # order on ``terms``.  The tuple comparison runs in C and calls back
+    # into these methods only for exponents that are distinct objects.
 
     def __eq__(self, other):
+        if isinstance(other, Ordinal):
+            return self.terms == other.terms
         if isinstance(other, int):
-            if other < 0:
-                return False
-            other = Ordinal.from_int(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.terms == other.terms
+            return other >= 0 and self.terms == Ordinal.from_int(other).terms
+        return NotImplemented
 
     def __lt__(self, other):
-        return compare(self, as_ordinal(other)) < 0
+        return self.terms < as_ordinal(other).terms
 
     def __le__(self, other):
-        return compare(self, as_ordinal(other)) <= 0
+        return self.terms <= as_ordinal(other).terms
 
     def __gt__(self, other):
-        return compare(self, as_ordinal(other)) > 0
+        return self.terms > as_ordinal(other).terms
 
     def __ge__(self, other):
-        return compare(self, as_ordinal(other)) >= 0
+        return self.terms >= as_ordinal(other).terms
 
     def __hash__(self):
         return self._hash
@@ -221,24 +224,21 @@ def _term_str(e: Ordinal, c: int) -> str:
 
 
 def as_ordinal(value) -> Ordinal:
+    """An Ordinal, a natural number, or ordinal text (``"w^2 + 1"``)."""
     if isinstance(value, Ordinal):
         return value
     if isinstance(value, int):
         return Ordinal.from_int(value)
+    if isinstance(value, str):
+        return parse_ordinal(value)
     raise TypeError(f"cannot interpret {value!r} as an ordinal")
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Total order on ordinals: -1, 0 or 1."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    if a.terms == b.terms:
+        return 0
+    return -1 if a.terms < b.terms else 1
 
 
 def omega_pow(a) -> Ordinal:

@@ -24,6 +24,7 @@ from .ordinal import ONE, ZERO, Ordinal, as_ordinal
 
 __all__ = [
     "Iv",
+    "IndexedUnion",
     "StepFunction",
     "AtomicMeasure",
     "CantorScheme",
@@ -85,7 +86,8 @@ def normalize_union(ivs: Iterable[Iv]) -> tuple[Iv, ...]:
     parts = sorted((iv for iv in ivs if not iv.is_empty()), key=_iv_sort_key)
     out: list[Iv] = []
     for iv in parts:
-        if out and iv.lo is not None and out[-1].hi >= iv.lo:
+        # an interval from 0 sorts first, so it meets any earlier one
+        if out and (iv.lo is None or out[-1].hi >= iv.lo):
             if out[-1].hi < iv.hi:
                 out[-1] = Iv(out[-1].lo, iv.hi)
         else:
@@ -93,35 +95,56 @@ def normalize_union(ivs: Iterable[Iv]) -> tuple[Iv, ...]:
     return tuple(out)
 
 
+class IndexedUnion:
+    """A normalized union with the list of its right ends.
+
+    The intervals of a normalized union are sorted and separated by
+    gaps, so the ones that can meet an interval form one run, found by
+    bisection on the right ends: lookups cost ``log n`` plus the size of
+    the answer, not a scan of the whole union.
+    """
+
+    __slots__ = ("ivs", "his")
+
+    def __init__(self, ivs: Iterable[Iv]):
+        self.ivs = normalize_union(ivs)
+        self.his = [iv.hi for iv in self.ivs]
+
+    def covers(self, iv: Iv) -> bool:
+        """Whether the union contains the non-empty interval ``iv``.
+
+        Only the first interval reaching ``iv.hi`` can hold it: any later
+        one starts at or after that interval's end.
+        """
+        j = bisect.bisect_left(self.his, iv.hi)
+        if j == len(self.ivs):
+            return False
+        big = self.ivs[j]
+        return big.lo is None or (iv.lo is not None and big.lo <= iv.lo)
+
+    def meet(self, u: tuple[Iv, ...]) -> tuple[Iv, ...]:
+        """Intersection with the normalized union ``u``, normalized.
+
+        The pieces come out sorted, and separated by the gaps of either
+        side, so they need no merging.
+        """
+        ivs, out = self.ivs, []
+        for iv in u:
+            j = 0 if iv.lo is None else bisect.bisect_right(self.his, iv.lo)
+            while j < len(ivs) and (ivs[j].lo is None or ivs[j].lo < iv.hi):
+                out.append(iv.intersect(ivs[j]))
+                j += 1
+        return tuple(out)
+
+
 def union_intersect(u: Iterable[Iv], v: Iterable[Iv]) -> tuple[Iv, ...]:
-    u = normalize_union(u)
-    v = normalize_union(v)
-    out = []
-    i = j = 0
-    while i < len(u) and j < len(v):
-        c = u[i].intersect(v[j])
-        if c is not None:
-            out.append(c)
-        if u[i].hi <= v[j].hi:
-            i += 1
-        else:
-            j += 1
-    return normalize_union(out)
+    return IndexedUnion(v).meet(normalize_union(u))
 
 
 def union_contains(u: Iterable[Iv], small: Iterable[Iv]) -> bool:
     """Whether every point of ``small`` lies in the union ``u``."""
-    u = normalize_union(u)
-    for iv in normalize_union(small):
-        hit = False
-        for big in u:
-            lo_ok = big.lo is None or (iv.lo is not None and big.lo <= iv.lo)
-            if lo_ok and iv.hi <= big.hi:
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
+    big = IndexedUnion(u)
+    return all(big.covers(iv) for iv in normalize_union(small))
 
 
 def union_is_empty(u: Iterable[Iv]) -> bool:
@@ -516,7 +539,7 @@ def compatible(funcs: Sequence[StepFunction], scheme: CantorScheme) -> bool:
     if len(funcs) != scheme.depth:
         raise ValueError("need one function per scheme level")
     preimages = [
-        {eps: normalize_union(f.preimage(float(eps))) for eps in (-1, 1)}
+        {eps: IndexedUnion(f.preimage(float(eps))) for eps in (-1, 1)}
         for f in funcs
     ]
     for d, cell in scheme.cells.items():
@@ -528,6 +551,7 @@ def compatible(funcs: Sequence[StepFunction], scheme: CantorScheme) -> bool:
             if any(f(pt) != value for pt in cell):
                 return False
             continue
-        if not union_contains(preimages[len(d) - 1][d[-1]], cell):
+        pre = preimages[len(d) - 1][d[-1]]
+        if not all(pre.covers(iv) for iv in normalize_union(cell)):
             return False
     return True

@@ -24,11 +24,12 @@ test suite uses as the oracle for the closed forms.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable
 
 from .ordinal import OMEGA, ONE, Ordinal, as_ordinal, omega_pow
 from .schreier import Base, Conv, as_finite_set, member, node_rank_exact, split_blocks
-from .space import CantorScheme, Iv, StepFunction, union_intersect
+from .space import CantorScheme, IndexedUnion, Iv, StepFunction
 
 __all__ = [
     "TreeHandle",
@@ -354,14 +355,13 @@ def cantor_scheme(handle: TreeHandle, branch: Node) -> CantorScheme:
         raise ValueError(f"{branch} is not a maximal node")
     funcs = [handle.node_function(p) for p in handle.branch(branch)]
     cells = {(): funcs[0].support()}
-    from itertools import product
-
     for depth, f in enumerate(funcs):
-        preimages = {eps: f.preimage(float(eps)) for eps in (-1, 1)}
+        # each parent cell is met only with the preimage pieces inside
+        # it, so a level costs about its output, not 2^depth whole unions
+        preimages = {eps: IndexedUnion(f.preimage(float(eps))) for eps in (-1, 1)}
         for d in product((-1, 1), repeat=depth):
-            parent = cells[d]
             for eps in (-1, 1):
-                cells[d + (eps,)] = union_intersect(parent, preimages[eps])
+                cells[d + (eps,)] = preimages[eps].meet(cells[d])
     return CantorScheme(depth=len(funcs), cells=cells)
 
 
@@ -391,30 +391,28 @@ def block_map_path(xi, zeta, handle: TreeHandle, E) -> list[Node]:
     fam = Conv(one_plus, xi)
     if not member(fam, E):
         raise ValueError(f"{E} is not a member of the convolution family")
-    inner = Base(xi)
     outer = Base(one_plus)
+    # the greedy S_xi split of a prefix E[:j] is the split of E cut at j,
+    # so the node changes exactly where a block of E starts
     path: list[Node] = []
     node: Node | None = None
-    prev_block_count = 0
-    for j in range(1, len(E) + 1):
-        blocks = split_blocks(inner, E[:j])
-        minima = tuple(b[0] for b in blocks)
-        if len(blocks) > prev_block_count:
-            target = node_rank_exact(outer, minima)
-            if node is None:
-                candidates = handle.roots()
-            else:
-                candidates = handle.children(node)
-            node = next(
-                (c for c in candidates if handle.residual_rank(c) >= target), None
+    minima: tuple[int, ...] = ()
+    for block in split_blocks(Base(xi), E):
+        minima += (block[0],)
+        target = node_rank_exact(outer, minima)
+        if node is None:
+            candidates = handle.roots()
+        else:
+            candidates = handle.children(node)
+        node = next(
+            (c for c in candidates if handle.residual_rank(c) >= target), None
+        )
+        if node is None:
+            raise BoundsError(
+                "no admissible node within the materialization bounds; "
+                "increase max_root"
             )
-            if node is None:
-                raise BoundsError(
-                    "no admissible node within the materialization bounds; "
-                    "increase max_root"
-                )
-            prev_block_count = len(blocks)
-        path.append(node)
+        path.extend([node] * len(block))
     return path
 
 

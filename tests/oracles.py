@@ -4,14 +4,19 @@ Membership is decided by exhaustive search over all partitions of a set
 into consecutive blocks, directly following the recursive definitions;
 weights are computed by a definition-literal recursion driven by that
 membership test.  Everything here is exponential and meant for small
-ground sets only.
+ground sets only.  The remaining oracles are the plain definitions that
+the library's fast paths replace: the recursive CNF comparison, interval
+unions as point sets, Cantor-scheme cells by whole-union intersection,
+and the block map with every prefix split on its own.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
-from ordtensor.ordinal import ONE, as_ordinal
-from ordtensor.schreier import Base, Conv
+from ordtensor.ordinal import ONE, as_ordinal, omega_pow
+from ordtensor.schreier import Base, Conv, node_rank_exact, split_blocks
+from ordtensor.space import union_intersect
 
 
 def compositions(E):
@@ -96,3 +101,51 @@ def subsets(ground):
     ground = tuple(ground)
     for mask in range(1 << len(ground)):
         yield tuple(g for i, g in enumerate(ground) if mask >> i & 1)
+
+
+def cnf_compare(a, b) -> int:
+    """Ordinal order by a recursive walk over the CNF terms: -1, 0 or 1."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = cnf_compare(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) != len(b.terms):
+        return -1 if len(a.terms) < len(b.terms) else 1
+    return 0
+
+
+def union_points(u, top: int) -> set[int]:
+    """The points of ``[0, top]`` covered by a union with integer endpoints."""
+    return {x for x in range(top + 1) if any(iv.contains(as_ordinal(x)) for iv in u)}
+
+
+def cantor_cells_reference(handle, branch) -> dict:
+    """Cantor-scheme cells with each parent intersected with the whole
+    preimage of the next branch function."""
+    funcs = [handle.node_function(p) for p in handle.branch(branch)]
+    cells = {(): funcs[0].support()}
+    for depth, f in enumerate(funcs):
+        for d in product((-1, 1), repeat=depth):
+            for eps in (-1, 1):
+                cells[d + (eps,)] = union_intersect(cells[d], f.preimage(float(eps)))
+    return cells
+
+
+def block_map_path_reference(xi, zeta, handle, E) -> list:
+    """The monotone block map with the greedy split of every prefix
+    recomputed from scratch (quadratic in ``len(E)``)."""
+    xi, zeta = as_ordinal(xi), as_ordinal(zeta)
+    assert handle.gamma == omega_pow(zeta)
+    outer = Base(ONE + zeta)
+    path, node, count = [], None, 0
+    for j in range(1, len(E) + 1):
+        blocks = split_blocks(Base(xi), E[:j])
+        if len(blocks) > count:
+            target = node_rank_exact(outer, tuple(b[0] for b in blocks))
+            candidates = handle.roots() if node is None else handle.children(node)
+            node = next(c for c in candidates if handle.residual_rank(c) >= target)
+            count = len(blocks)
+        path.append(node)
+    return path

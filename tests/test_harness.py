@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -92,6 +93,20 @@ class TestScenarios:
     def test_family_suite(self):
         assert run_family_suite(ScenarioConfig()).passed()
 
+    def test_perm_suite_rejects_empty_block_count(self):
+        for blocks in (0, -1):
+            with pytest.raises(ValueError):
+                run_perm_suite(ScenarioConfig(xi="1", zeta="1", blocks=blocks))
+
+    def test_sharpness_golden_report(self):
+        # the 2046-element (1,1,2) instance; its LP check is skipped, so
+        # the report is all-exact and its bytes do not depend on the platform
+        rep = run_sharpness(ScenarioConfig(xi="1", zeta="1", stream="2"))
+        text = reports_to_json([rep], include_wall_time=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a70d6d531e97d8e8b2a4e92ac4c6ae26f4c773b7d97ead82ad91ca93302fb9bd"
+        )
+
 
 class TestCli:
     def test_member(self, capsys):
@@ -141,3 +156,30 @@ class TestCli:
         ])
         assert code == 0
         assert capsys.readouterr().out.startswith("scenario,check")
+
+
+class TestCliInputErrors:
+    """Bad input gets one line on stderr and exit code 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schreier", "member", "--family", "S[x]", "--set", "3"],
+            ["schreier", "member", "--family", "S[1]", "--set", "3,2"],
+            ["tensor", "pi", "--matrix", "[[1,0],[1]]"],
+            ["weights", "perm", "--xi", "1", "--zeta", "1", "--blocks", "0"],
+            ["verify", "perm", "--blocks", "0"],
+            ["schreier", "decompose", "--family", "S[2]", "--stream", "3",
+             "--count", "2", "--block-budget", "50"],
+            ["schreier", "decompose", "--family", "S[1]", "--stream", "3,4"],
+        ],
+        ids=["family", "set-order", "ragged-matrix", "weights-perm-blocks-0",
+             "verify-perm-blocks-0", "budget", "stream-exhausted"],
+    )
+    def test_exit_code_two(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ordtensor: error: ")
+        assert "Traceback" not in captured.err

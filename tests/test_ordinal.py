@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -8,10 +9,13 @@ from ordtensor.ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    as_ordinal,
     compare,
     omega_pow,
     parse_ordinal,
 )
+
+from oracles import cnf_compare
 
 F = Ordinal.from_int
 W = OMEGA
@@ -119,6 +123,48 @@ class TestExhaustive:
             vals = [lam.fundamental(n) for n in range(1, 21)]
             for a, b in zip(vals, vals[1:]):
                 assert a < b < lam
+
+
+class TestNativeOrder:
+    """Tuple order on ``terms`` against the recursive CNF oracle."""
+
+    @given(ordinals(depth=3), ordinals(depth=3))
+    def test_operators_match_oracle(self, a, b):
+        c = cnf_compare(a, b)
+        assert compare(a, b) == c
+        assert (a < b) == (c < 0)
+        assert (a <= b) == (c <= 0)
+        assert (a == b) == (c == 0)
+        assert (a > b) == (c > 0)
+        assert (a >= b) == (c >= 0)
+
+    @given(ordinals(depth=3))
+    def test_equal_copies_with_distinct_exponents(self, a):
+        b = parse_ordinal(str(a))
+        assert cnf_compare(a, b) == compare(a, b) == 0
+        assert a == b and a <= b and a >= b
+        assert not (a < b or a > b)
+
+    @given(st.lists(ordinals(depth=3), max_size=8))
+    def test_sorted_matches_oracle(self, xs):
+        assert sorted(xs) == sorted(xs, key=functools.cmp_to_key(cnf_compare))
+
+    def test_mixed_with_naturals(self):
+        assert F(3) < 4 and 4 < W and W > 4 and W >= 0
+        assert not (F(3) == -1)
+
+
+class TestAsOrdinal:
+    def test_text_is_parsed(self):
+        assert as_ordinal("w^2*3 + w + 5") == parse_ordinal("w^2*3 + w + 5")
+        assert as_ordinal("0") == ZERO
+        assert W + "1" == parse_ordinal("w + 1")
+
+    def test_rejects_other_types(self):
+        with pytest.raises(TypeError):
+            as_ordinal(1.5)
+        with pytest.raises(ValueError):
+            as_ordinal("x")
 
 
 class TestParser:

@@ -38,6 +38,11 @@ class TestMemberExamples:
         assert member(Conv(1, 1), (2, 3, 4, 5, 6, 7))
         assert not member(Conv(1, 1), (1, 2, 3, 4))
 
+    def test_ordinal_text_levels(self):
+        assert Base("w") == Base(OMEGA)
+        assert Conv("2", "w + 1") == Conv(2, OMEGA + 1)
+        assert member(Base("w"), (3, 4, 5, 6)) == member(Base(OMEGA), (3, 4, 5, 6))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             member(Base(1), (2, 2))

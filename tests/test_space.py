@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ordtensor.ordinal import OMEGA, Ordinal, omega_pow
 from ordtensor.space import (
@@ -24,12 +25,26 @@ from ordtensor.space import (
     weak_p_norm,
 )
 
+from oracles import union_points
+
 F = Ordinal.from_int
 W = OMEGA
+TOP = 12
 
 
 def iv(a, b):
     return Iv(F(a), F(b))
+
+
+@st.composite
+def int_unions(draw):
+    """Unsorted unions of integer intervals in [0, TOP], empties included."""
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo = draw(st.one_of(st.none(), st.integers(0, TOP)))
+        hi = draw(st.integers(0, TOP))
+        out.append(Iv(None if lo is None else F(lo), F(hi)))
+    return out
 
 
 class TestIntervals:
@@ -53,6 +68,9 @@ class TestIntervals:
     def test_normalize_merges(self):
         u = normalize_union([iv(2, 3), iv(0, 1), iv(1, 2)])
         assert u == (iv(0, 3),)
+        # several intervals from 0 overlap one another
+        u = normalize_union([Iv(None, F(1)), Iv(None, F(0)), iv(1, 2)])
+        assert u == (Iv(None, F(2)),)
 
     def test_union_ops(self):
         a = (iv(0, 2), iv(4, 6))
@@ -60,6 +78,23 @@ class TestIntervals:
         assert union_intersect(a, b) == (iv(1, 2), iv(4, 5))
         assert union_contains(a, (iv(0, 1),))
         assert not union_contains(a, (iv(1, 5),))
+
+
+class TestUnionsAgainstPoints:
+    @given(int_unions(), int_unions())
+    def test_intersect(self, u, v):
+        w = union_intersect(u, v)
+        assert normalize_union(w) == w
+        assert union_points(w, TOP) == union_points(u, TOP) & union_points(v, TOP)
+
+    @given(int_unions(), int_unions())
+    def test_contains(self, u, v):
+        assert union_contains(u, v) == (union_points(v, TOP) <= union_points(u, TOP))
+
+    @given(int_unions())
+    def test_contains_own_pieces(self, u):
+        assert union_contains(u, u)
+        assert all(union_contains(u, [piece]) for piece in u)
 
 
 class TestStepFunction:

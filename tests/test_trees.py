@@ -4,7 +4,7 @@ from itertools import count
 import pytest
 
 from ordtensor.ordinal import OMEGA, Ordinal, omega_pow
-from ordtensor.schreier import Base, Conv, decompose, member
+from ordtensor.schreier import Base, BudgetExceeded, Conv, decompose, member
 from ordtensor.space import (
     Iv,
     compatible,
@@ -22,7 +22,7 @@ from ordtensor.trees import (
     rank_finite,
 )
 
-from oracles import subsets
+from oracles import block_map_path_reference, cantor_cells_reference, subsets
 
 F = Ordinal.from_int
 W = OMEGA
@@ -191,6 +191,12 @@ class TestCantorScheme:
         with pytest.raises(ValueError):
             cantor_scheme(t1, (F(3),))
 
+    def test_cells_match_whole_union_intersection(self):
+        for gamma in (1, 2):
+            h = build_tree(gamma, max_root=4)
+            for t in h.max_nodes():
+                assert cantor_scheme(h, t).cells == cantor_cells_reference(h, t)
+
 
 class TestBlockMap:
     def test_first_examples(self):
@@ -232,6 +238,31 @@ class TestBlockMap:
             minima = tuple(b[0] for b in blocks)
             h = node_rank_exact(Base(2), minima)
             assert tw.residual_rank(path[j - 1]) >= h
+
+    @pytest.mark.parametrize(
+        "xi, zeta, gamma, max_root",
+        [(0, 0, 1, 12), (1, 0, 1, 12), (1, 1, W, 9)],
+        ids=["S[1][S[0]]", "S[1][S[1]]", "S[2][S[1]]"],
+    )
+    def test_matches_per_prefix_split(self, xi, zeta, gamma, max_root):
+        handle = build_tree(gamma, max_root=max_root)
+        fam = Conv(1 + zeta, xi)
+        sets = [E for E in subsets(range(1, 9)) if E and member(fam, E)]
+        # first maximal blocks, cut to 300 elements (members by heredity)
+        for start in range(1, 7):
+            try:
+                sets.append(decompose(fam, count(start), 1, max_elements=5000)[0][:300])
+            except BudgetExceeded:
+                pass
+        assert len(sets) > 20
+        for E in sets:
+            try:
+                expected = block_map_path_reference(xi, zeta, handle, E)
+            except StopIteration:
+                with pytest.raises(BoundsError):
+                    block_map_path(xi, zeta, handle, E)
+                continue
+            assert block_map_path(xi, zeta, handle, E) == expected
 
     def test_bounds_error(self):
         t1 = build_tree(1, max_root=3)

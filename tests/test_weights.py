@@ -92,6 +92,11 @@ class TestPWeight:
         assert p_weight(OMEGA, E) == p_prefix_weights(OMEGA, E)[-1]
         assert p_weight(OMEGA, E) == Fraction(1, 500**501)
 
+    def test_ordinal_text_levels(self):
+        E = (3, 4, 5)
+        assert p_weight("w", E) == p_weight(OMEGA, E)
+        assert q_weight("1", "w", E) == q_weight(1, OMEGA, E)
+
 
 class TestQWeight:
     def test_examples(self):
