@@ -18,6 +18,7 @@ search over small ground sets.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
@@ -40,6 +41,7 @@ __all__ = [
     "parse_family",
     "family_str",
     "as_finite_set",
+    "level_step",
 ]
 
 
@@ -82,15 +84,44 @@ class BudgetExceeded(Exception):
 
 
 def as_finite_set(values: Iterable[int]) -> tuple[int, ...]:
-    t = tuple(int(v) for v in values)
-    if any(v < 1 for v in t):
+    """The strictly increasing tuple of positive integers ``values``.
+
+    Elements convert through ``operator.index``, so a float or a string
+    raises ``TypeError`` instead of being truncated.
+    """
+    t = tuple(map(operator.index, values))
+    if t and min(t) < 1:
         raise ValueError("elements must be positive integers")
-    if any(a >= b for a, b in zip(t, t[1:])):
+    if not all(map(operator.lt, t, t[1:])):
         raise ValueError("elements must be strictly increasing")
     return t
 
 
 # -- the greedy block primitive ----------------------------------------
+
+
+@lru_cache(maxsize=1 << 12)
+def _predecessor(level: Ordinal) -> Ordinal | None:
+    return level.predecessor() if level.classify() == "successor" else None
+
+
+@lru_cache(maxsize=1 << 16)
+def _diagonal(level: Ordinal, m: int) -> Ordinal:
+    return level.fundamental(m) + ONE
+
+
+def level_step(level: Ordinal, m: int) -> tuple[Ordinal, int]:
+    """One step down the recursion of a non-zero level from a block minimum m.
+
+    A block of S_(a+1) with minimum m is m successive S_a blocks; a block
+    of S_lambda at a limit is one S_(lambda[m]+1) block.  Returns the
+    next level and that block count.  Both transitions are cached, so a
+    walk that revisits a level builds no new ordinal.
+    """
+    prev = _predecessor(level)
+    if prev is not None:
+        return prev, m
+    return _diagonal(level, m), 1
 
 
 class _TupleSource:
@@ -127,15 +158,11 @@ def _base_block_end(xi: Ordinal, source, start: int) -> int:
             m = source.get(pos)
         except IndexError:
             return pos
+        frame[1] -= 1
         if level.is_zero():
             pos += 1
-            frame[1] -= 1
             continue
-        frame[1] -= 1
-        if level.classify() == "successor":
-            stack.append([level.predecessor(), m])
-        else:
-            stack.append([level.fundamental(m) + ONE, 1])
+        stack.append(list(level_step(level, m)))
     return pos
 
 

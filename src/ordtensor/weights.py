@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Mapping
 
-from .ordinal import ONE, Ordinal, as_ordinal
+from .ordinal import Ordinal, as_ordinal
 from .schreier import (
     Base,
     Conv,
@@ -31,6 +31,7 @@ from .schreier import (
     as_finite_set,
     decompose,
     is_maximal,
+    level_step,
     member,
     split_blocks,
 )
@@ -175,11 +176,8 @@ def _descent(level: Ordinal, inner: Ordinal | None, E: tuple[int, ...]) -> int:
     r = 1
     while not level.is_zero():
         E = split_blocks(_family(level, inner), E)[-1]
-        if level.classify() == "successor":
-            r *= E[0]
-            level = level.predecessor()
-        else:
-            level = level.fundamental(E[0]) + ONE
+        level, count = level_step(level, E[0])
+        r *= count
     return r
 
 
@@ -196,14 +194,11 @@ def _prefix_descent(level: Ordinal, inner: Ordinal | None, E: tuple[int, ...]) -
         if level.is_zero():
             out[a:b] = [r] * (b - a)
             continue
-        successor = level.classify() == "successor"
         c = a
         for block in split_blocks(_family(level, inner), E[a:b]):
             d = c + len(block)
-            if successor:
-                stack.append((level.predecessor(), c, d, r * E[c]))
-            else:
-                stack.append((level.fundamental(E[c]) + ONE, c, d, r))
+            below, count = level_step(level, E[c])
+            stack.append((below, c, d, r * count))
             c = d
     return out
 

@@ -7,12 +7,13 @@ membership test.  Everything here is exponential and meant for small
 ground sets only.  The remaining oracles are the plain definitions that
 the library's fast paths replace: the recursive CNF comparison, interval
 unions as point sets, Cantor-scheme cells by whole-union intersection,
-and the block map with every prefix split on its own.
+the block map with every prefix split on its own, and the spreads of a
+set listed one by one.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from ordtensor.ordinal import ONE, as_ordinal, omega_pow
 from ordtensor.schreier import Base, Conv, node_rank_exact, split_blocks
@@ -101,6 +102,13 @@ def subsets(ground):
     ground = tuple(ground)
     for mask in range(1 << len(ground)):
         yield tuple(g for i, g in enumerate(ground) if mask >> i & 1)
+
+
+def spreads(E, bound):
+    """Every spread of E within [1, bound]: same size, elementwise >= E."""
+    for cand in combinations(range(E[0] if E else 1, bound + 1), len(E)):
+        if all(c >= e for c, e in zip(cand, E)):
+            yield cand
 
 
 def cnf_compare(a, b) -> int:

@@ -2,11 +2,14 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ordtensor.harness import (
     Check,
     Report,
     ScenarioConfig,
+    _hereditary,
+    _spreading,
     main,
     make_stream,
     reports_to_csv,
@@ -16,6 +19,8 @@ from ordtensor.harness import (
     run_perm_suite,
     run_sharpness,
 )
+
+from oracles import spreads, subsets
 
 
 class TestStreams:
@@ -98,6 +103,14 @@ class TestScenarios:
             with pytest.raises(ValueError):
                 run_perm_suite(ScenarioConfig(xi="1", zeta="1", blocks=blocks))
 
+    def test_family_golden_report(self):
+        # all-exact: the bytes of the families report, wall time excluded
+        rep = run_family_suite(ScenarioConfig())
+        text = reports_to_json([rep], include_wall_time=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "47a12aa81befc9456fd66962e6cefd1a2239c22b235eed800a3de4c8d0c603ec"
+        )
+
     def test_sharpness_golden_report(self):
         # the 2046-element (1,1,2) instance; its LP check is skipped, so
         # the report is all-exact and its bytes do not depend on the platform
@@ -106,6 +119,47 @@ class TestScenarios:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "a70d6d531e97d8e8b2a4e92ac4c6ae26f4c773b7d97ead82ad91ca93302fb9bd"
         )
+
+
+@st.composite
+def set_systems(draw, bound=6):
+    """Set systems over [1, bound]: raw, or closed under subsets and/or
+    spreads, then perhaps with one member dropped (mostly not closed)."""
+    members = set(draw(st.sets(
+        st.frozensets(st.integers(1, bound)).map(lambda s: tuple(sorted(s))),
+        max_size=10,
+    )))
+    if draw(st.booleans()):
+        members = {sub for E in members for sub in subsets(E)}
+    if draw(st.booleans()):
+        members = {S for E in members for S in spreads(E, bound)}
+    if members and draw(st.booleans()):
+        members.discard(draw(st.sampled_from(sorted(members))))
+    return members
+
+
+class TestClosureChecks:
+    """The families suite's closure checks against the definitions."""
+
+    @given(set_systems())
+    def test_hereditary_matches_all_subsets(self, members):
+        expected = all(sub in members for E in members for sub in subsets(E))
+        assert _hereditary(members) == expected
+
+    @given(set_systems())
+    def test_spreading_matches_all_spreads(self, members):
+        expected = all(S in members for E in members for S in spreads(E, 6))
+        assert _spreading(members, 6) == expected
+
+    def test_examples(self):
+        closed = set(subsets(range(1, 4)))
+        assert _hereditary(closed) and _spreading(closed, 3)
+        assert _hereditary(set()) and _spreading(set(), 3)
+        # only the deletion of the last element is missing
+        assert not _hereditary({(), (2,), (1, 2)})
+        # only the move of the last element is missing
+        assert not _spreading({(1, 2)}, 3)
+        assert _spreading({(1,)}, 1) and not _spreading({(1,)}, 2)
 
 
 class TestCli:

@@ -1,17 +1,21 @@
-from itertools import chain, combinations, count
+from itertools import chain, count
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from ordtensor.ordinal import OMEGA, Ordinal
+from ordtensor.ordinal import OMEGA, ONE, Ordinal
 from ordtensor.schreier import (
     Base,
     BudgetExceeded,
     Conv,
     StreamExhausted,
+    as_finite_set,
     decompose,
     family_str,
     is_maximal,
     least_shift,
+    level_step,
     member,
     node_rank_brute,
     node_rank_exact,
@@ -19,7 +23,8 @@ from ordtensor.schreier import (
     split_blocks,
 )
 
-from oracles import brute_member, subsets
+from oracles import brute_member, spreads, subsets
+from test_ordinal import ordinals
 
 F = Ordinal.from_int
 
@@ -48,6 +53,22 @@ class TestMemberExamples:
             member(Base(1), (2, 2))
         with pytest.raises(ValueError):
             member(Base(1), (0, 3))
+
+    def test_elements_must_be_integers(self):
+        for bad in ([1.9, 2.5], [2.0, 3], ["3", "4"]):
+            with pytest.raises(TypeError):
+                as_finite_set(bad)
+        with pytest.raises(TypeError):
+            member(Base(1), [2.9, 3.1])
+        E = as_finite_set(np.array([2, 5], dtype=np.int64))
+        assert E == (2, 5) and all(type(v) is int for v in E)
+        assert as_finite_set([True, 2]) == (1, 2)
+
+    def test_positivity_is_reported_first(self):
+        with pytest.raises(ValueError, match="positive integers"):
+            as_finite_set((3, 0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            as_finite_set((3, 2))
 
 
 class TestBruteAgreement:
@@ -254,6 +275,22 @@ class TestNodeRank:
             node_rank_exact(Base(3), (2,))
 
 
+class TestLevelStep:
+    @given(ordinals(depth=2), st.integers(1, 6))
+    def test_matches_the_recursion(self, level, m):
+        assume(not level.is_zero())
+        if level.classify() == "successor":
+            assert level_step(level, m) == (level.predecessor(), m)
+        else:
+            assert level_step(level, m) == (level.fundamental(m) + ONE, 1)
+        assert level_step(level, m) == level_step(Ordinal(level.terms), m)
+
+    def test_examples(self):
+        assert level_step(F(3), 5) == (F(2), 5)
+        assert level_step(OMEGA, 5) == (F(6), 1)
+        assert level_step(OMEGA + 1, 5) == (OMEGA, 5)
+
+
 class TestRegularity:
     @pytest.mark.parametrize(
         "fam", [Base(1), Base(2), Conv(1, 1)], ids=family_str
@@ -263,9 +300,8 @@ class TestRegularity:
         for E in members:
             for sub in subsets(E):
                 assert member(fam, sub)
-            for spread in combinations(range(E[0], 11), len(E)):
-                if all(s >= e for s, e in zip(spread, E)):
-                    assert member(fam, spread)
+            for spread in spreads(E, 10):
+                assert member(fam, spread)
 
     def test_inclusion_shift_exists(self):
         assert least_shift(1, 2, bound=10) is not None
