@@ -262,7 +262,11 @@ def split_blocks(fam: Family, E: Iterable[int]) -> tuple[tuple[int, ...], ...]:
 
 
 class _Buffered:
-    """Strictly increasing integer stream with indexed lookahead."""
+    """Strictly increasing integer stream with indexed lookahead.
+
+    Elements convert through ``operator.index``, as in ``as_finite_set``,
+    so a float or a string raises ``TypeError`` instead of being truncated.
+    """
 
     def __init__(self, source: Iterable[int], max_elements: int | None = None):
         self._it = iter(source)
@@ -276,7 +280,7 @@ class _Buffered:
                     f"block needs more than {self._budget} stream elements"
                 )
             try:
-                v = int(next(self._it))
+                v = operator.index(next(self._it))
             except StopIteration:
                 raise StreamExhausted(
                     f"stream ended after {len(self._buf)} elements"

@@ -24,6 +24,7 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 __all__ = [
@@ -160,7 +161,11 @@ class PiSolver:
     Both produce a certificate feasible for every sign constraint and
     optimal over the full polytope.  A solver instance can be reused
     across matrices of the same shape (sign enumerations, ascent
-    iterations); the constraint structure is objective-independent.
+    iterations); the constraint structure is objective-independent, so
+    the epigraph matrix is built once per instance.  Each distinct
+    matrix is solved once per instance: HiGHS is deterministic, so a
+    repeat (an ascent that returns to a point it has already solved)
+    gets the stored value and certificate.
     """
 
     def __init__(self, m: int, n: int):
@@ -169,7 +174,43 @@ class PiSolver:
         self.E = _signs(m, fix_first=True)
         self._rows: list[np.ndarray] = []
         self._seen: set = set()
-        self._epigraph = None
+        self._solved: dict[bytes, tuple[float, DualCertificate]] = {}
+        self._epigraph = (
+            self._build_epigraph() if len(self.E) * n <= MAX_EPIGRAPH_VARS else None
+        )
+
+    def _build_epigraph(self):
+        # |eps^T B delta| <= 1 for all delta is the l1 bound ||B^T eps||_1 <= 1,
+        # written with one absolute-value variable per (eps, column): an
+        # exact single LP with no constraint generation.  Row 2*(p*n + j) + s
+        # reads sign_s * (eps_p^T B)_j - t_pj <= 0, and row 2*P*n + p reads
+        # sum_j t_pj <= 1; columns are B row-major, then t row-major.
+        m, n, P = self.m, self.n, len(self.E)
+        mn, Pn = m * n, P * n
+        t_cols = mn + np.arange(Pn)
+        data = np.empty((P, n, 2, m + 1))
+        data[..., :m] = self.E[:, None, None, :] * np.array([[1.0], [-1.0]])
+        data[..., m] = -1.0
+        cols = np.empty((P, n, 2, m + 1), dtype=np.intp)
+        cols[..., :m] = np.arange(n)[:, None, None] + n * np.arange(m)
+        cols[..., m] = t_cols.reshape(P, n, 1)
+        indptr = np.concatenate(
+            [
+                (m + 1) * np.arange(2 * Pn + 1),
+                2 * Pn * (m + 1) + n * np.arange(1, P + 1),
+            ]
+        )
+        A = sparse.csr_matrix(
+            (
+                np.concatenate([data.reshape(-1), np.ones(Pn)]),
+                np.concatenate([cols.reshape(-1), t_cols]),
+                indptr,
+            ),
+            shape=(2 * Pn + P, mn + Pn),
+        )
+        b = np.concatenate([np.zeros(2 * Pn), np.ones(P)])
+        bounds = np.repeat([[-1.0, 1.0], [0.0, 1.0]], [mn, Pn], axis=0)
+        return A, b, bounds
 
     def _add_cut(self, cut: np.ndarray) -> bool:
         key = cut.tobytes()
@@ -179,54 +220,34 @@ class PiSolver:
         self._rows.append(cut.reshape(-1))
         return True
 
+    def _certificate(self, B: np.ndarray) -> DualCertificate:
+        bound = float(np.abs(self.E @ B).sum(axis=1).max())
+        return DualCertificate(B, max(bound, 1e-300))
+
     def solve(self, U: np.ndarray) -> tuple[float, DualCertificate]:
+        """Optimal value and certificate; a matrix seen before by this
+        solver returns its first answer without a new LP."""
+        U = np.asarray(U, dtype=float)
         if U.shape != (self.m, self.n):
             raise ValueError("matrix shape does not match the solver's model")
-        if len(self.E) * self.n <= MAX_EPIGRAPH_VARS:
-            return self._solve_epigraph(U)
-        return self._solve_cutting(U)
+        key = U.tobytes()
+        result = self._solved.get(key)
+        if result is None:
+            if self._epigraph is not None:
+                result = self._solve_epigraph(U)
+            else:
+                result = self._solve_cutting(U)
+            self._solved[key] = result
+        return result
 
     def _solve_epigraph(self, U: np.ndarray) -> tuple[float, DualCertificate]:
-        # |eps^T B delta| <= 1 for all delta is the l1 bound ||B^T eps||_1 <= 1,
-        # written with one absolute-value variable per (eps, column): an
-        # exact single LP with no constraint generation
-        from scipy import sparse
-
-        m, n, P = self.m, self.n, len(self.E)
-        if self._epigraph is None:
-            rows_i, cols_i, vals = [], [], []
-            r = 0
-            for p in range(P):
-                for j in range(n):
-                    for sign in (1.0, -1.0):
-                        for i in range(m):
-                            rows_i.append(r)
-                            cols_i.append(i * n + j)
-                            vals.append(sign * self.E[p, i])
-                        rows_i.append(r)
-                        cols_i.append(m * n + p * n + j)
-                        vals.append(-1.0)
-                        r += 1
-            for p in range(P):
-                for j in range(n):
-                    rows_i.append(r)
-                    cols_i.append(m * n + p * n + j)
-                    vals.append(1.0)
-                r += 1
-            A = sparse.csr_matrix(
-                (vals, (rows_i, cols_i)), shape=(r, m * n + P * n)
-            )
-            b = np.concatenate([np.zeros(2 * P * n), np.ones(P)])
-            self._epigraph = (A, b)
-        A, b = self._epigraph
-        cost = np.concatenate([-U.reshape(-1), np.zeros(P * n)])
-        bounds = [(-1.0, 1.0)] * (self.m * self.n) + [(0, 1.0)] * (P * n)
+        A, b, bounds = self._epigraph
+        cost = np.concatenate([-U.reshape(-1), np.zeros(A.shape[1] - U.size)])
         res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs")
         if res.status != 0:
             raise RuntimeError(f"projective-norm LP failed: {res.message}")
-        B = res.x[: self.m * self.n].reshape(self.m, self.n)
-        bound = float(np.abs(self.E @ B).sum(axis=1).max())
-        return -float(res.fun), DualCertificate(B, max(bound, 1e-300))
+        B = res.x[: U.size].reshape(self.m, self.n)
+        return -float(res.fun), self._certificate(B)
 
     def _solve_cutting(self, U: np.ndarray) -> tuple[float, DualCertificate]:
         cost = -U.reshape(-1)
@@ -266,8 +287,7 @@ class PiSolver:
                 break
         else:
             raise RuntimeError("projective-norm LP did not converge")
-        bound = float(np.abs(self.E @ B).sum(axis=1).max())
-        return value, DualCertificate(B, max(bound, 1e-300))
+        return value, self._certificate(B)
 
 
 def pi_norm(u) -> tuple[float, DualCertificate]:

@@ -7,17 +7,22 @@ membership test.  Everything here is exponential and meant for small
 ground sets only.  The remaining oracles are the plain definitions that
 the library's fast paths replace: the recursive CNF comparison, interval
 unions as point sets, Cantor-scheme cells by whole-union intersection,
-the block map with every prefix split on its own, and the spreads of a
-set listed one by one.
+the block map with every prefix split on its own, the spreads of a
+set listed one by one, the projective-norm epigraph matrix built entry
+by entry, and the weak-2 ascent with a fresh LP for every step.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
+import numpy as np
+from scipy import sparse
+
 from ordtensor.ordinal import ONE, as_ordinal, omega_pow
 from ordtensor.schreier import Base, Conv, node_rank_exact, split_blocks
 from ordtensor.space import union_intersect
+from ordtensor.tensor import pi_norm
 
 
 def compositions(E):
@@ -157,3 +162,63 @@ def block_map_path_reference(xi, zeta, handle, E) -> list:
             count = len(blocks)
         path.append(node)
     return path
+
+
+def epigraph_reference(E, n: int):
+    """The l1-epigraph constraints ``(A, b)`` of the projective-norm LP
+    for the sign rows ``E``, built one entry at a time."""
+    P, m = E.shape
+    rows_i, cols_i, vals = [], [], []
+    r = 0
+    for p in range(P):
+        for j in range(n):
+            for sign in (1.0, -1.0):
+                for i in range(m):
+                    rows_i.append(r)
+                    cols_i.append(i * n + j)
+                    vals.append(sign * E[p, i])
+                rows_i.append(r)
+                cols_i.append(m * n + p * n + j)
+                vals.append(-1.0)
+                r += 1
+    for p in range(P):
+        for j in range(n):
+            rows_i.append(r)
+            cols_i.append(m * n + p * n + j)
+            vals.append(1.0)
+        r += 1
+    A = sparse.csr_matrix((vals, (rows_i, cols_i)), shape=(r, m * n + P * n))
+    b = np.concatenate([np.zeros(2 * P * n), np.ones(P)])
+    return A, b
+
+
+def weak_2_reference(us, *, samples: int = 64, seed: int = 0, ascent_steps: int = 8):
+    """The seeded weak-2 lower bound with every point solved by a fresh
+    ``pi_norm``, so no LP answer is reused."""
+    stack = np.stack([np.asarray(u, dtype=float) for u in us])
+    if stack.shape[1] > stack.shape[2]:
+        stack = stack.transpose(0, 2, 1)
+    k = len(stack)
+    rng = np.random.default_rng(seed)
+    starts = [np.eye(k)[i] for i in range(k)]
+    for _ in range(samples):
+        v = rng.standard_normal(k)
+        norm = np.linalg.norm(v)
+        if norm > 0:
+            starts.append(v / norm)
+    best = 0.0
+    for a in starts:
+        val, cert = pi_norm(np.tensordot(a, stack, axes=1))
+        best = max(best, val)
+        for _ in range(ascent_steps):
+            g = np.array([float(np.sum(cert.matrix * m)) for m in stack])
+            norm = np.linalg.norm(g)
+            if norm == 0:
+                break
+            a_new = g / norm
+            new_val, new_cert = pi_norm(np.tensordot(a_new, stack, axes=1))
+            if new_val <= val + 1e-12:
+                break
+            val, cert, a = new_val, new_cert, a_new
+            best = max(best, val)
+    return best

@@ -147,6 +147,14 @@ class TestDecompose:
         with pytest.raises(BudgetExceeded):
             decompose(Base(2), count(3), 2, max_elements=100)
 
+    def test_stream_elements_must_be_integers(self):
+        for bad in ([2.5, 3.9, 4.2, 5.0, 6.1], ["2", "3"]):
+            with pytest.raises(TypeError):
+                decompose(Base(1), iter(bad), 1)
+        blocks = decompose(Base(1), iter(np.arange(2, 8, dtype=np.int64)), 1)
+        assert blocks == ((2, 3),) and all(type(v) is int for v in blocks[0])
+        assert decompose(Base(0), iter([True, 2]), 2) == ((1,), (2,))
+
     def test_errors_carry_completed_blocks(self):
         with pytest.raises(StreamExhausted) as err:
             decompose(Base(1), iter([3, 4, 5, 6, 7]), 2)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ordtensor import harness, tensor
 from ordtensor.tensor import (
+    MAX_EPIGRAPH_VARS,
     BudgetError,
     DualCertificate,
+    PiSolver,
     TensorMatrix,
     canonical_model,
     eps_norm,
@@ -17,6 +20,8 @@ from ordtensor.tensor import (
     weak_2_norm_pi_lower,
     weak_p_norm_vec,
 )
+
+from oracles import epigraph_reference, weak_2_reference
 
 rng = np.random.default_rng(12345)
 
@@ -104,6 +109,52 @@ class TestPiNorm:
         assert pair_dual(u, DualCertificate(B, 1.0)) <= val + 1e-9
 
 
+class TestPiSolver:
+    def test_repeat_matrix_solved_once(self, monkeypatch):
+        calls = []
+        real = tensor.linprog
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(tensor, "linprog", counting)
+        u = np.random.default_rng(7).uniform(-1, 1, size=(3, 4))
+        solver = PiSolver(3, 4)
+        first = solver.solve(u)
+        second = solver.solve(u.copy())
+        assert len(calls) == 1
+        assert second[0] == first[0] and second[1] is first[1]
+        solver.solve(-u)
+        assert len(calls) == 2
+        value, cert = PiSolver(3, 4).solve(u)
+        assert len(calls) == 3
+        assert value == first[0] and np.array_equal(cert.matrix, first[1].matrix)
+        assert cert.bound == first[1].bound
+
+    def test_epigraph_matches_entrywise_build(self):
+        shapes = [
+            (m, n)
+            for m in range(1, 9)
+            for n in range(m, 11)
+            if 2 ** (m - 1) * n <= MAX_EPIGRAPH_VARS
+        ]
+        assert len(shapes) == 52
+        for m, n in shapes:
+            solver = PiSolver(m, n)
+            A, b, bounds = solver._epigraph
+            ref_A, ref_b = epigraph_reference(solver.E, n)
+            assert A.shape == ref_A.shape
+            for part in ("indptr", "indices", "data"):
+                got, want = getattr(A, part), getattr(ref_A, part)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(b, ref_b)
+            P = len(solver.E)
+            assert np.array_equal(
+                bounds, np.array([(-1.0, 1.0)] * (m * n) + [(0.0, 1.0)] * (P * n))
+            )
+
+
 class TestWeakNorms:
     def test_vector_formulas(self):
         assert weak_p_norm_vec([[1, 0], [0, 1]], 1) == 1.0
@@ -137,6 +188,32 @@ class TestWeakNorms:
     def test_weak2_lower_unit_vector_floor(self):
         us = [np.outer(np.eye(3)[k], np.eye(3)[k]) for k in range(3)]
         assert weak_2_norm_pi_lower(us, samples=4, seed=0) >= 1 - 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_weak2_matches_fresh_solves_on_scenarios(self, seed, monkeypatch):
+        # the groth pairs and the staircase halves of `verify all`
+        seen = []
+
+        def recording(us, **kw):
+            value = weak_2_norm_pi_lower(us, **kw)
+            seen.append((us, kw, value))
+            return value
+
+        monkeypatch.setattr(harness, "weak_2_norm_pi_lower", recording)
+        harness.run_blocking_demo(harness.ScenarioConfig(xi="1", seed=seed))
+        harness.run_groth_probe(harness.ScenarioConfig(seed=seed))
+        assert len(seen) == 5
+        for us, kw, value in seen:
+            assert value == weak_2_reference(us, **kw)
+
+    def test_weak2_matches_fresh_solves_on_random_families(self):
+        local = np.random.default_rng(2024)
+        families = [(1, (3, 3)), (3, (3, 3)), (4, (2, 5)), (2, (4, 3)), (3, (5, 2))]
+        for k, shape in families:
+            us = [local.uniform(-1, 1, size=shape) for _ in range(k)]
+            for seed in (0, 5):
+                got = weak_2_norm_pi_lower(us, samples=6, seed=seed)
+                assert got == weak_2_reference(us, samples=6, seed=seed)
 
     def test_weak2_deterministic(self):
         us = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(3)]
