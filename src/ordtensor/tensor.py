@@ -19,12 +19,15 @@ seeded sampling plus local ascent for weak-2 lower bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 __all__ = [
@@ -39,6 +42,8 @@ __all__ = [
     "weak_1_norm_pi",
     "weak_2_norm_pi_lower",
     "canonical_model",
+    "normal_form",
+    "Block",
 ]
 
 MAX_LP_SIDE = 10  # enumeration side: 2^(side-1) sign vectors
@@ -84,6 +89,8 @@ def _as_array(u) -> np.ndarray:
     arr = np.asarray(u, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("expected a non-empty 2-d matrix")
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite")
     return arr
 
 
@@ -104,13 +111,16 @@ class DualCertificate:
         object.__setattr__(self, "matrix", arr)
 
 
+@lru_cache(maxsize=None)
 def _signs(k: int, fix_first: bool = False) -> np.ndarray:
     rows = []
     first = (1,) if fix_first else (-1, 1)
     for head in first:
         for tail in product((-1, 1), repeat=k - 1):
             rows.append((head,) + tail)
-    return np.array(rows, dtype=float)
+    arr = np.array(rows, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_lp_budget(m: int, n: int):
@@ -144,6 +154,236 @@ def sign_norm(B) -> float:
     return float(np.abs(E @ B).sum(axis=1).max())
 
 
+class Block(NamedTuple):
+    """One connected component of a normal form.
+
+    ``matrix`` is ``U[rows][:, cols]`` with row ``i`` multiplied by
+    ``row_signs[i]`` and column ``j`` by ``col_signs[j]``."""
+
+    matrix: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    row_signs: np.ndarray
+    col_signs: np.ndarray
+
+
+def _distinct_lines(V: np.ndarray, A: np.ndarray):
+    """Indices of the rows of V (no zero row; A is ``|V|``) that are not
+    a signed copy of an earlier row, or None when no row is: each row is
+    keyed with its first nonzero made positive."""
+    norms = A.sum(axis=1).tolist()
+    if len(set(norms)) == len(norms):  # signed copies have equal l1 norms
+        return None
+    lead = V[np.arange(len(V)), (A > 0).argmax(axis=1)]
+    keyed = V * np.sign(lead)[:, None] + 0.0
+    seen: set = set()
+    keep = []
+    for i, row in enumerate(keyed):
+        key = row.tobytes()
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return None if len(keep) == len(norms) else np.array(keep, dtype=np.intp)
+
+
+def _components(S: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column index sets of the connected components of the
+    bipartite support graph S (no zero line): every line takes the
+    least row index it reaches, one step out per round."""
+    m = len(S)
+    label = np.arange(m)
+    while True:
+        col = np.where(S, label[:, None], m).min(axis=0)
+        reached = np.where(S, col, m).min(axis=1)
+        if np.array_equal(reached, label):
+            break
+        label = reached
+    return [
+        (np.flatnonzero(label == k), np.flatnonzero(col == k))
+        for k in sorted(set(label.tolist()))
+    ]
+
+
+def _normalize(W: np.ndarray, A: np.ndarray, dense: bool):
+    """Signs and order for a connected block W (A is ``|W|``) with no
+    zero line; ``dense`` says that W has no zero entry.
+
+    The row holding the largest entry is the root; every other line
+    takes the sign that makes its largest entry towards an already
+    signed line positive, level by level out from the root (one level
+    each way when W has no zero entry).  Rows, then columns, are sorted
+    by their sorted entries.  Both rules see only the entries, so a
+    signed permutation of W gives the same matrix unless entries tie."""
+    m, n = W.shape
+    S = np.sign(W)
+    if m == 1 or n == 1:  # a line: make it positive and sort it
+        order = np.argsort(A.reshape(-1), kind="stable")
+        if m == 1:
+            return A[:, order], np.zeros(1, np.intp), order, np.ones(1), S[0, order]
+        return A[order], order, np.zeros(1, np.intp), S[order, 0], np.ones(1)
+    root = A.max(axis=1).argmax()
+    if dense:
+        c = S[root]
+        best = A.argmax(axis=1)
+        r = c[best] * S[np.arange(m), best]
+    else:
+        r, c = np.zeros(m), np.zeros(n)
+        r[root] = 1.0
+        while not (r.all() and c.all()):
+            M = A * (r != 0)[:, None]
+            best = M.argmax(axis=0)
+            new = np.flatnonzero((c == 0) & (M[best, np.arange(n)] > 0))
+            c[new] = r[best[new]] * S[best[new], new]
+            M = A * (c != 0)
+            best = M.argmax(axis=1)
+            new = np.flatnonzero((r == 0) & (M[np.arange(m), best] > 0))
+            r[new] = c[best[new]] * S[new, best[new]]
+    W = W * r[:, None] * c + 0.0
+    ro = np.lexsort(np.sort(W, axis=1).T[::-1])
+    W = W[ro]
+    co = np.lexsort(np.sort(W, axis=0)[::-1])
+    return W[:, co], ro, co, r[ro], c[co]
+
+
+def normal_form(u) -> tuple[Block, ...]:
+    """The isometric normal form of U as blocks on disjoint lines.
+
+    Signed permutations of rows and columns are isometries of the
+    sup-norm models, so they leave both tensor norms unchanged.  A zero
+    line, or a line equal up to sign to another, factors through the
+    smaller model isometrically: drop it.  Blocks on disjoint rows and
+    columns split the model, with ``pi(U1 (+) U2) = max(pi U1, pi U2)``:
+    averaging ``(x (+) e c) (x) (y (+) e d)`` over a Rademacher sign e
+    cancels the cross terms, and the sup norm of a direct sum is a max
+    (the injective norm is a max of entries anyway).  The zero matrix
+    has no block.  Each block is signed and sorted by :func:`_normalize`,
+    and the blocks come in order of shape, then entries.
+    """
+    U = _as_array(u)
+    A = np.abs(U)
+    support = A > 0
+    rows, cols = np.arange(U.shape[0]), np.arange(U.shape[1])
+    connected = support.all()
+    if not connected:
+        live_r, live_c = support.any(axis=1), support.any(axis=0)
+        if not live_r.any():
+            return ()
+        rows, cols = rows[live_r], cols[live_c]
+        U, A = U[live_r][:, live_c], A[live_r][:, live_c]
+    keep = _distinct_lines(U, A)
+    if keep is not None:
+        rows, U, A = rows[keep], U[keep], A[keep]
+    keep = _distinct_lines(U.T, A.T)
+    if keep is not None:
+        cols, U, A = cols[keep], U[:, keep], A[:, keep]
+    if connected:
+        comps = [(slice(None), slice(None))]
+    else:
+        comps = _components(A > 0)
+    blocks = []
+    for r, c in comps:
+        W, ro, co, rs, cs = _normalize(U[r][:, c], A[r][:, c], connected)
+        blocks.append(Block(W, rows[r][ro], cols[c][co], rs, cs))
+    blocks.sort(key=lambda b: (b.matrix.shape, b.matrix.tobytes()))
+    return tuple(blocks)
+
+
+def _build_epigraph(m: int, n: int):
+    """The l1-epigraph LP of the m x n model as ``(A, b, bounds)``, or
+    None past ``MAX_EPIGRAPH_VARS``.
+
+    |eps^T B delta| <= 1 for all delta is the l1 bound ||B^T eps||_1 <= 1,
+    written with one absolute-value variable per (eps, column): an exact
+    single LP with no constraint generation.  The structure is
+    objective-independent, so a solver builds it once per shape."""
+    E = _signs(m, fix_first=True)
+    P = len(E)
+    if P * n > MAX_EPIGRAPH_VARS:
+        return None
+    # Row 2*(p*n + j) + s reads sign_s * (eps_p^T B)_j - t_pj <= 0, and row
+    # 2*P*n + p reads sum_j t_pj <= 1; columns are B row-major, then t
+    # row-major.
+    mn, Pn = m * n, P * n
+    t_cols = mn + np.arange(Pn)
+    data = np.empty((P, n, 2, m + 1))
+    data[..., :m] = E[:, None, None, :] * np.array([[1.0], [-1.0]])
+    data[..., m] = -1.0
+    cols = np.empty((P, n, 2, m + 1), dtype=np.intp)
+    cols[..., :m] = np.arange(n)[:, None, None] + n * np.arange(m)
+    cols[..., m] = t_cols.reshape(P, n, 1)
+    indptr = np.concatenate(
+        [
+            (m + 1) * np.arange(2 * Pn + 1),
+            2 * Pn * (m + 1) + n * np.arange(1, P + 1),
+        ]
+    )
+    A = sparse.csr_matrix(
+        (
+            np.concatenate([data.reshape(-1), np.ones(Pn)]),
+            np.concatenate([cols.reshape(-1), t_cols]),
+            indptr,
+        ),
+        shape=(2 * Pn + P, mn + Pn),
+    )
+    b = np.concatenate([np.zeros(2 * Pn), np.ones(P)])
+    bounds = np.repeat([[-1.0, 1.0], [0.0, 1.0]], [mn, Pn], axis=0)
+    return A, b, bounds
+
+
+def _direct_sum(parts):
+    """One LP made of independent epigraph LPs: block-diagonal rows."""
+    if len(parts) == 1:
+        return parts[0]
+    As = [A for A, _, _ in parts]
+    col_starts = np.cumsum([0] + [A.shape[1] for A in As])
+    nnz_starts = np.cumsum([0] + [A.nnz for A in As])
+    A = sparse.csr_matrix(
+        (
+            np.concatenate([A.data for A in As]),
+            np.concatenate([A.indices + s for A, s in zip(As, col_starts)]),
+            np.concatenate(
+                [A.indptr[:-1] + s for A, s in zip(As, nnz_starts)] + [nnz_starts[-1:]]
+            ),
+        ),
+        shape=(sum(A.shape[0] for A in As), col_starts[-1]),
+    )
+    b = np.concatenate([b for _, b, _ in parts])
+    bounds = np.concatenate([bounds for _, _, bounds in parts])
+    return A, b, bounds
+
+
+def _scale(W: np.ndarray) -> float:
+    """The power of two that brings the largest entry of W into (1/2, 1].
+
+    HiGHS works to absolute tolerances (1e-7 on reduced costs), so a
+    model with entries near 1e-8 came back with a wrong, even negative,
+    value; the norm is homogeneous, and dividing by a power of two is
+    exact, so each LP objective is scaled by it and the value scaled
+    back."""
+    return math.ldexp(1.0, math.ceil(math.log2(float(np.abs(W).max()))))
+
+
+def _solve_epigraphs(mats: list[np.ndarray], parts) -> list[tuple[float, np.ndarray]]:
+    """Values and optimal ``B`` of models with the epigraph LPs ``parts``,
+    all in one LP: the direct sum of the LPs separates, so its optimum
+    is optimal on each part, and a small model's LP costs little more
+    than the fixed cost of a ``linprog`` call."""
+    A, b, bounds = _direct_sum(parts)
+    cost = np.zeros(A.shape[1])
+    starts = np.cumsum([0] + [part[0].shape[1] for part in parts])
+    scales = [_scale(W) for W in mats]
+    for W, s, scale in zip(mats, starts, scales):
+        cost[s : s + W.size] = -W.reshape(-1) / scale
+    res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"projective-norm LP failed: {res.message}")
+    if len(mats) == 1:
+        (W,) = mats
+        return [(-float(res.fun) * scales[0], res.x[: W.size].reshape(W.shape))]
+    Bs = [res.x[s : s + W.size].reshape(W.shape) for W, s in zip(mats, starts)]
+    return [(float(np.sum(B * W)), B) for W, B in zip(mats, Bs)]
+
+
 class PiSolver:
     """Exact projective-norm solver over one model shape.
 
@@ -153,72 +393,56 @@ class PiSolver:
     routes exploit this:
 
     * an l1-epigraph formulation (one auxiliary variable per enumerated
-      sign vector and column) solved as a single LP, used whenever it
-      fits the size budget;
+      sign vector and column, :func:`_build_epigraph`) solved as a single LP,
+      used whenever it fits the size budget;
     * cutting planes with the exact separation oracle
       ``delta = sign(B^T eps)``, for long matrices.
 
     Both produce a certificate feasible for every sign constraint and
-    optimal over the full polytope.  A solver instance can be reused
-    across matrices of the same shape (sign enumerations, ascent
-    iterations); the constraint structure is objective-independent, so
-    the epigraph matrix is built once per instance.  Each distinct
-    matrix is solved once per instance: HiGHS is deterministic, so a
-    repeat (an ascent that returns to a point it has already solved)
-    gets the stored value and certificate.
+    optimal over the full polytope.
+
+    Each matrix is solved on its :func:`normal_form`.  A block with one
+    row or one column is a vector in a sup-norm space: its value is its
+    largest entry, with the matching signed unit form as certificate.
+    The other blocks, smaller side enumerated, are solved together: the
+    epigraph LPs of all of them as one LP, and any block past the
+    epigraph budget by cutting planes.  The value is the largest block
+    value, and the certificate is the winning block's ``B`` put back on
+    the block's rows and columns with their signs, zero elsewhere, with
+    its bound recomputed.  When the normal form is a single block of
+    the input's shape (no line drops, one component), the LP solves the
+    input as it is and its certificate is returned as it is.  A solver's
+    first such matrix is keyed only when a second matrix comes, so a
+    one-shot :func:`pi_norm` does no sorting.
+
+    The LP budget applies to the solver's own shape.  A solver instance
+    can be reused across matrices of the same shape (sign enumerations,
+    ascent iterations): a matrix it has seen returns its first answer,
+    the same objects, and a matrix with the LP blocks of one it has
+    solved, such as a signed permutation of it, costs no new LP (HiGHS
+    is deterministic, so that is what a new LP would give).  Cutting
+    planes found for a shape are kept for the solver's later matrices.
     """
 
     def __init__(self, m: int, n: int):
         _check_lp_budget(m, n)
         self.m, self.n = m, n
         self.E = _signs(m, fix_first=True)
-        self._rows: list[np.ndarray] = []
-        self._seen: set = set()
         self._solved: dict[bytes, tuple[float, DualCertificate]] = {}
-        self._epigraph = (
-            self._build_epigraph() if len(self.E) * n <= MAX_EPIGRAPH_VARS else None
-        )
+        self._forms: dict[tuple, list[tuple[float, np.ndarray]]] = {}
+        self._epigraphs: dict[tuple[int, int], tuple | None] = {}
+        self._cuts: dict[tuple[int, int], tuple[list, set]] = {}
+        self._unkeyed = None  # (U, value, B) of a first solve, not yet keyed
 
-    def _build_epigraph(self):
-        # |eps^T B delta| <= 1 for all delta is the l1 bound ||B^T eps||_1 <= 1,
-        # written with one absolute-value variable per (eps, column): an
-        # exact single LP with no constraint generation.  Row 2*(p*n + j) + s
-        # reads sign_s * (eps_p^T B)_j - t_pj <= 0, and row 2*P*n + p reads
-        # sum_j t_pj <= 1; columns are B row-major, then t row-major.
-        m, n, P = self.m, self.n, len(self.E)
-        mn, Pn = m * n, P * n
-        t_cols = mn + np.arange(Pn)
-        data = np.empty((P, n, 2, m + 1))
-        data[..., :m] = self.E[:, None, None, :] * np.array([[1.0], [-1.0]])
-        data[..., m] = -1.0
-        cols = np.empty((P, n, 2, m + 1), dtype=np.intp)
-        cols[..., :m] = np.arange(n)[:, None, None] + n * np.arange(m)
-        cols[..., m] = t_cols.reshape(P, n, 1)
-        indptr = np.concatenate(
-            [
-                (m + 1) * np.arange(2 * Pn + 1),
-                2 * Pn * (m + 1) + n * np.arange(1, P + 1),
-            ]
-        )
-        A = sparse.csr_matrix(
-            (
-                np.concatenate([data.reshape(-1), np.ones(Pn)]),
-                np.concatenate([cols.reshape(-1), t_cols]),
-                indptr,
-            ),
-            shape=(2 * Pn + P, mn + Pn),
-        )
-        b = np.concatenate([np.zeros(2 * Pn), np.ones(P)])
-        bounds = np.repeat([[-1.0, 1.0], [0.0, 1.0]], [mn, Pn], axis=0)
-        return A, b, bounds
+    @property
+    def _epigraph(self):
+        """The epigraph LP of the solver's own shape, or None past its budget."""
+        return self._epigraph_of(self.m, self.n)
 
-    def _add_cut(self, cut: np.ndarray) -> bool:
-        key = cut.tobytes()
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self._rows.append(cut.reshape(-1))
-        return True
+    def _epigraph_of(self, m: int, n: int):
+        if (m, n) not in self._epigraphs:
+            self._epigraphs[m, n] = _build_epigraph(m, n)
+        return self._epigraphs[m, n]
 
     def _certificate(self, B: np.ndarray) -> DualCertificate:
         bound = float(np.abs(self.E @ B).sum(axis=1).max())
@@ -227,38 +451,86 @@ class PiSolver:
     def solve(self, U: np.ndarray) -> tuple[float, DualCertificate]:
         """Optimal value and certificate; a matrix seen before by this
         solver returns its first answer without a new LP."""
-        U = np.asarray(U, dtype=float)
+        U = _as_array(U)
         if U.shape != (self.m, self.n):
             raise ValueError("matrix shape does not match the solver's model")
         key = U.tobytes()
         result = self._solved.get(key)
         if result is None:
-            if self._epigraph is not None:
-                result = self._solve_epigraph(U)
-            else:
-                result = self._solve_cutting(U)
-            self._solved[key] = result
+            result = self._solved[key] = self._solve(U)
         return result
 
-    def _solve_epigraph(self, U: np.ndarray) -> tuple[float, DualCertificate]:
-        A, b, bounds = self._epigraph
-        cost = np.concatenate([-U.reshape(-1), np.zeros(A.shape[1] - U.size)])
-        res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"projective-norm LP failed: {res.message}")
-        B = res.x[: U.size].reshape(self.m, self.n)
-        return -float(res.fun), self._certificate(B)
+    def _solve(self, U: np.ndarray) -> tuple[float, DualCertificate]:
+        if not self._solved and min(U.shape) > 1 and _plainly_irreducible(U):
+            ((value, B),) = self._lp([U])
+            self._unkeyed = U, value, B
+            return value, self._certificate(B)
+        if self._unkeyed is not None:
+            V, value, B = self._unkeyed
+            self._unkeyed = None
+            (block,) = normal_form(V)
+            self._forms[_form_key([block])] = [(value, _to_block(B, block))]
+        blocks = normal_form(U)
+        if not blocks:  # the zero matrix
+            B = np.zeros(U.shape)
+            B[0, 0] = 1.0
+            return 0.0, self._certificate(B)
+        lines = [b for b in blocks if min(b.matrix.shape) == 1]
+        rest = [b for b in blocks if min(b.matrix.shape) > 1]
+        results = [_line_value(b.matrix) for b in lines]
+        if rest:
+            key = _form_key(rest)
+            solved = self._forms.get(key)
+            if solved is None:
+                if len(rest) == 1 and rest[0].matrix.shape == U.shape:
+                    # irreducible: solved as it is, keyed on its normal form
+                    ((value, B),) = self._lp([U])
+                    self._forms[key] = [(value, _to_block(B, rest[0]))]
+                    return value, self._certificate(B)
+                solved = self._forms[key] = self._lp([b.matrix for b in rest])
+            results += solved
+        blocks = lines + rest
+        best = max(range(len(blocks)), key=lambda i: results[i][0])
+        value, B = results[best]
+        return value, self._certificate(_from_block(B, blocks[best], U.shape))
 
-    def _solve_cutting(self, U: np.ndarray) -> tuple[float, DualCertificate]:
-        cost = -U.reshape(-1)
-        bounds = [(-1.0, 1.0)] * (self.m * self.n)
-        if not self._rows:
-            for e in self.E:
+    def _lp(self, mats: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
+        """Value and ``B`` of each model, smaller side enumerated: those
+        within the epigraph budget in one LP, the rest by cutting planes."""
+        flip = [W.shape[0] > W.shape[1] for W in mats]
+        mats = [W.T if f else W for W, f in zip(mats, flip)]
+        parts = [self._epigraph_of(*W.shape) for W in mats]
+        joint = [i for i, part in enumerate(parts) if part is not None]
+        solved = {}
+        if joint:
+            found = _solve_epigraphs([mats[i] for i in joint], [parts[i] for i in joint])
+            solved = dict(zip(joint, found))
+        out = [solved[i] if i in solved else self._solve_cutting(W) for i, W in enumerate(mats)]
+        return [(value, B.T if f else B) for (value, B), f in zip(out, flip)]
+
+    def _solve_cutting(self, U: np.ndarray) -> tuple[float, np.ndarray]:
+        m, n = U.shape
+        E = _signs(m, fix_first=True)
+        rows, seen = self._cuts.setdefault((m, n), ([], set()))
+
+        def add_cut(cut: np.ndarray) -> bool:
+            key = cut.tobytes()
+            if key in seen:
+                return False
+            seen.add(key)
+            rows.append(cut.reshape(-1))
+            return True
+
+        scale = _scale(U)
+        cost = -U.reshape(-1) / scale
+        bounds = [(-1.0, 1.0)] * (m * n)
+        if not rows:
+            for e in E:
                 row = e @ U
-                self._add_cut(np.outer(e, np.sign(row) + (row == 0)))
+                add_cut(np.outer(e, np.sign(row) + (row == 0)))
         value, B = None, None
         for _ in range(300):
-            A = np.vstack(self._rows)
+            A = np.vstack(rows)
             A_ub = np.vstack([A, -A])
             res = linprog(
                 cost,
@@ -269,9 +541,9 @@ class PiSolver:
             )
             if res.status != 0:
                 raise RuntimeError(f"projective-norm LP failed: {res.message}")
-            B = res.x.reshape(self.m, self.n)
-            value = -float(res.fun)
-            Z = self.E @ B
+            B = res.x.reshape(m, n)
+            value = -float(res.fun) * scale
+            Z = E @ B
             viol = np.abs(Z).sum(axis=1)
             order = np.argsort(viol)[::-1]
             added = 0
@@ -279,7 +551,7 @@ class PiSolver:
                 if viol[idx] <= 1 + 1e-9:
                     break
                 delta = np.sign(Z[idx]) + (Z[idx] == 0)
-                if self._add_cut(np.outer(self.E[idx], delta)):
+                if add_cut(np.outer(E[idx], delta)):
                     added += 1
             if added == 0:
                 if viol.max() > 1 + 1e-6:
@@ -287,7 +559,43 @@ class PiSolver:
                 break
         else:
             raise RuntimeError("projective-norm LP did not converge")
-        return value, self._certificate(B)
+        return value, B
+
+
+def _form_key(blocks) -> tuple:
+    return tuple((b.matrix.shape, b.matrix.tobytes()) for b in blocks)
+
+
+def _line_value(W: np.ndarray) -> tuple[float, np.ndarray]:
+    """A one-line block is a vector in a sup-norm space: its value is its
+    largest entry (a normal-form line is positive)."""
+    k = int(W.argmax())
+    B = np.zeros(W.shape)
+    B.flat[k] = 1.0
+    return float(W.flat[k]), B
+
+
+def _plainly_irreducible(U: np.ndarray) -> bool:
+    """No zero entry (so no zero line and one component) and no two
+    lines equal up to sign: the normal form is U signed and permuted."""
+    A = np.abs(U)
+    return (
+        bool((A > 0).all())
+        and _distinct_lines(U, A) is None
+        and _distinct_lines(U.T, A.T) is None
+    )
+
+
+def _to_block(B: np.ndarray, block: Block) -> np.ndarray:
+    """A form on the input model as a form on the block's normal form."""
+    return B[np.ix_(block.rows, block.cols)] * block.row_signs[:, None] * block.col_signs
+
+
+def _from_block(B: np.ndarray, block: Block, shape) -> np.ndarray:
+    """A form on the block's normal form put back on the input model."""
+    full = np.zeros(shape)
+    full[np.ix_(block.rows, block.cols)] = B * block.row_signs[:, None] * block.col_signs
+    return full
 
 
 def pi_norm(u) -> tuple[float, DualCertificate]:
@@ -437,16 +745,12 @@ def weak_2_norm_pi_lower(
 
 
 def canonical_model(u) -> np.ndarray:
-    """Drop zero rows/columns and merge duplicates.
+    """The :func:`normal_form` of U as one matrix, its blocks down the
+    diagonal; ``[[0]]`` for the zero matrix.
 
-    In sup-norm models, repeated or zero coordinates factor through the
-    smaller model isometrically, so the projective and injective norms
-    are unchanged; this keeps certificate matrices inside the LP budget.
+    Both tensor norms are unchanged, and the model is no larger than U.
     """
-    U = _as_array(u)
-    U = U[np.any(U != 0, axis=1)][:, np.any(U != 0, axis=0)]
-    if U.size == 0:
+    blocks = normal_form(u)
+    if not blocks:
         return np.zeros((1, 1))
-    U = np.unique(U, axis=0)
-    U = np.unique(U, axis=1)
-    return U
+    return block_diag(*(b.matrix for b in blocks))

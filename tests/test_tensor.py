@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordtensor import harness, tensor
 from ordtensor.tensor import (
@@ -12,6 +13,7 @@ from ordtensor.tensor import (
     TensorMatrix,
     canonical_model,
     eps_norm,
+    normal_form,
     pair_dual,
     pi_norm,
     pi_norm_decomposition,
@@ -24,6 +26,92 @@ from ordtensor.tensor import (
 from oracles import epigraph_reference, weak_2_reference
 
 rng = np.random.default_rng(12345)
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """Every ``linprog`` call the tensor layer makes, counted."""
+    calls = []
+    real = tensor.linprog
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(tensor, "linprog", counting)
+    return calls
+
+
+# entries from a small lattice make zeros, ties and signed copies common
+entries = st.one_of(
+    st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
+    st.floats(-1, 1, allow_nan=False),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=4, max_cols=5):
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    vals = draw(st.lists(entries, min_size=m * n, max_size=m * n))
+    return np.array(vals).reshape(m, n)
+
+
+@st.composite
+def signed_permutations(draw, U):
+    """U with its rows and columns permuted and signed, maybe transposed."""
+    m, n = U.shape
+    rows = draw(st.permutations(range(m)))
+    cols = draw(st.permutations(range(n)))
+    row_signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+    col_signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    V = U[rows][:, cols] * np.array(row_signs)[:, None] * col_signs
+    return V.T if draw(st.booleans()) else V
+
+
+@st.composite
+def padded_block_models(draw):
+    """A block-diagonal model with a zero line and a signed copy of a line
+    padded in each way, its lines shuffled: at most 4 rows, 6 columns."""
+    blocks = []
+    rows_left, cols_left = 2, 4
+    while rows_left and cols_left:
+        p = draw(st.integers(1, rows_left))
+        q = draw(st.integers(1, min(cols_left, 3)))
+        vals = draw(st.lists(entries, min_size=p * q, max_size=p * q))
+        blocks.append(np.array(vals).reshape(p, q))
+        rows_left, cols_left = rows_left - p, cols_left - q
+        if not draw(st.booleans()):
+            break
+    U = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    i = j = 0
+    for b in blocks:
+        U[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    for axis in (0, 1):
+        V = U if axis == 0 else U.T
+        copy = draw(st.integers(0, len(V) - 1))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        V = np.vstack([V, np.zeros(V.shape[1]), sign * V[copy]])
+        U = V if axis == 0 else V.T
+    rows = draw(st.permutations(range(U.shape[0])))
+    cols = draw(st.permutations(range(U.shape[1])))
+    return U[rows][:, cols]
+
+
+def _criterion_10_families():
+    # the disjoint elementary families of acceptance criterion 10
+    local = np.random.default_rng(7)
+    for k, width in ((2, 2), (4, 2), (8, 1)):
+        us = []
+        for i in range(k):
+            g = np.zeros(width * k)
+            g[width * i : width * (i + 1)] = (
+                local.uniform(0.2, 1.0, size=width) * (-1) ** i
+            )
+            g /= np.abs(g).max()
+            us.append(np.outer(np.eye(k)[i], g))
+        yield us
 
 
 class TestEpsNorm:
@@ -97,6 +185,17 @@ class TestPiNorm:
         with pytest.raises(BudgetError):
             pi_norm_decomposition(np.ones((10, 10)), max_constraints=1 << 10)
 
+    def test_homogeneous_at_tiny_and_huge_scales(self):
+        # the LP works to absolute tolerances: unscaled, 2.85e-8 * m came
+        # back as 0.5 * 2.85e-8, and its signed permutation as the negative
+        m = np.array([[0.0, 1.0], [1.0, 1.0]])
+        dense = np.random.default_rng(4).uniform(-1, 1, (3, 4))
+        base = pi_norm(dense)[0]
+        assert abs(pi_norm(m)[0] - 1.5) < 1e-9
+        for a in (2.85459021e-08, 1e-12, 1e8):
+            for u, want in ((m, 1.5), (m * [[1], [-1]], 1.5), (dense, base)):
+                assert abs(pi_norm(a * u)[0] - a * want) <= 1e-9 * a * want
+
     def test_certificate_feasibility_rechecked(self):
         u = rng.uniform(-1, 1, size=(4, 5))
         _, cert = pi_norm(u)
@@ -109,23 +208,110 @@ class TestPiNorm:
         assert pair_dual(u, DualCertificate(B, 1.0)) <= val + 1e-9
 
 
+class TestNormalForm:
+    """Closed forms and isometry invariance of the reduced solve."""
+
+    def test_zero_model_needs_no_lp(self, linprog_calls):
+        val, cert = pi_norm(np.zeros((10, 10)))
+        assert val == 0.0 and math.copysign(1, val) == 1
+        assert sign_norm(cert.matrix) <= cert.bound
+        assert linprog_calls == []
+
+    def test_identity_needs_no_lp(self, linprog_calls):
+        val, cert = pi_norm(np.eye(10))
+        assert val == 1
+        assert pair_dual(np.eye(10), cert) / cert.bound == 1
+        assert linprog_calls == []
+
+    def test_dense_rank_one_takes_the_cutting_route(self, linprog_calls):
+        local = np.random.default_rng(10)
+        x, y = local.uniform(-1, 1, 10), local.uniform(-1, 1, 10)
+        u = np.outer(x, y)
+        (block,) = normal_form(u)
+        assert block.matrix.shape == (10, 10)
+        assert PiSolver(10, 10)._epigraph is None
+        val, _ = pi_norm(u)
+        assert abs(val - np.abs(x).max() * np.abs(y).max()) < 1e-9
+        assert linprog_calls
+
+    def test_signed_copies_need_no_lp(self, linprog_calls):
+        # every row is a signed copy of the first: one line is left
+        x = np.array([1.0, -1.0] * 5)
+        y = np.random.default_rng(3).uniform(-1, 1, 10)
+        u = np.outer(x, y)
+        val, cert = pi_norm(u)
+        assert val == np.abs(y).max()
+        assert pair_dual(u, cert) / cert.bound == val
+        assert linprog_calls == []
+
+    def test_negative_zero_keys_like_zero(self, linprog_calls):
+        u = np.array([[1.0, 0.0, 0.25], [0.5, -1.0, 0.0], [0.0, 0.75, -0.5]])
+        v = u.copy()
+        v[v == 0] = -0.0
+        solver = PiSolver(3, 3)
+        assert solver.solve(u)[0] == solver.solve(v)[0]
+        assert len(linprog_calls) == 1
+
+    def test_non_finite_entries_are_refused(self):
+        # a NaN reads as no entry in the support, and its block never settled
+        for bad in (np.nan, np.inf):
+            for u in ([[bad, 0.0], [0.0, 0.0]], [[bad, 1.0], [1.0, 0.5]]):
+                for call in (pi_norm, normal_form, PiSolver(2, 2).solve):
+                    with pytest.raises(ValueError):
+                        call(np.array(u))
+
+    def test_budget_is_on_the_input_shape(self):
+        # all ones reduces to a 1x1 model, yet the input is past the budget
+        with pytest.raises(BudgetError):
+            pi_norm(np.ones((11, 12)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_signed_permutation_invariance(self, data):
+        U = data.draw(matrices())
+        V = data.draw(signed_permutations(U))
+        val, _ = pi_norm(U)
+        moved, cert = pi_norm(V)
+        assert abs(moved - val) < 1e-12
+        assert sign_norm(cert.matrix) <= 1 + 1e-9
+        assert abs(pair_dual(V, cert) / cert.bound - moved) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(padded_block_models())
+    def test_block_model_matches_decomposition(self, U):
+        assert min(U.shape) <= 4
+        val, cert = pi_norm(U)
+        assert abs(val - pi_norm_decomposition(U)[0]) < 1e-6
+        assert abs(pair_dual(U, cert) / cert.bound - val) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.booleans(), st.data())
+    def test_single_line_is_its_largest_entry(self, n, column, data):
+        vals = data.draw(st.lists(entries, min_size=n, max_size=n))
+        u = np.array([vals]).T if column else np.array([vals])
+        val, cert = pi_norm(u)
+        assert val == np.abs(u).max()
+        assert abs(pi_norm_decomposition(u)[0] - val) < 1e-6
+        assert pair_dual(u, cert) / cert.bound == val
+
+
 class TestPiSolver:
-    def test_repeat_matrix_solved_once(self, monkeypatch):
-        calls = []
-        real = tensor.linprog
-
-        def counting(*args, **kw):
-            calls.append(1)
-            return real(*args, **kw)
-
-        monkeypatch.setattr(tensor, "linprog", counting)
+    def test_repeat_matrix_solved_once(self, linprog_calls):
+        calls = linprog_calls
         u = np.random.default_rng(7).uniform(-1, 1, size=(3, 4))
         solver = PiSolver(3, 4)
         first = solver.solve(u)
         second = solver.solve(u.copy())
         assert len(calls) == 1
         assert second[0] == first[0] and second[1] is first[1]
-        solver.solve(-u)
+        # a signed permutation of u has u's normal form: no new LP
+        for v in (-u, u[[2, 0, 1]][:, [3, 1, 0, 2]] * [[1], [-1], [1]]):
+            moved = solver.solve(v)
+            assert len(calls) == 1
+            assert moved[0] == first[0]
+            assert abs(pair_dual(v, moved[1]) / moved[1].bound - first[0]) < 1e-12
+        # a matrix that is not a signed permutation of u costs one LP
+        solver.solve(u * [1, 2, 3, 4])
         assert len(calls) == 2
         value, cert = PiSolver(3, 4).solve(u)
         assert len(calls) == 3
@@ -176,6 +362,29 @@ class TestWeakNorms:
             g /= np.abs(g).max()
             us.append(np.outer(np.eye(5)[k], g))
         assert weak_1_norm_pi(us) <= 1 + 1e-9
+
+    def test_weak1_criterion_10_families_need_no_lp(self, linprog_calls):
+        # every signed sum splits into one-line blocks
+        for us in _criterion_10_families():
+            assert weak_1_norm_pi(us) <= 1 + 1e-9
+        assert linprog_calls == []
+
+    @pytest.mark.parametrize("k, r, c", [(4, 2, 3), (3, 3, 3), (5, 2, 2)])
+    def test_weak1_disjoint_rank_one_solves_each_block_once(
+        self, k, r, c, linprog_calls
+    ):
+        # every signed sum has the same blocks up to sign, so at most one LP
+        # per member (in fact one for the whole family)
+        local = np.random.default_rng(k * 100 + r * 10 + c)
+        us, best = [], 0.0
+        for i in range(k):
+            x, y = local.uniform(-1, 1, r), local.uniform(-1, 1, c)
+            u = np.zeros((k * r, k * c))
+            u[i * r : (i + 1) * r, i * c : (i + 1) * c] = np.outer(x, y)
+            us.append(u)
+            best = max(best, np.abs(x).max() * np.abs(y).max())
+        assert abs(weak_1_norm_pi(us) - best) < 1e-9
+        assert 0 < len(linprog_calls) <= k
 
     def test_weak1_budget(self):
         with pytest.raises(BudgetError):
