@@ -158,13 +158,15 @@ class Block(NamedTuple):
     """One connected component of a normal form.
 
     ``matrix`` is ``U[rows][:, cols]`` with row ``i`` multiplied by
-    ``row_signs[i]`` and column ``j`` by ``col_signs[j]``."""
+    ``row_signs[i]`` and column ``j`` by ``col_signs[j]``, then
+    transposed when ``transposed`` is set."""
 
     matrix: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     row_signs: np.ndarray
     col_signs: np.ndarray
+    transposed: bool
 
 
 def _distinct_lines(V: np.ndarray, A: np.ndarray):
@@ -204,6 +206,34 @@ def _components(S: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
+def _refine(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the rows and of the columns of A by colour refinement.
+
+    All lines start in one class.  Each round, a row's new class is its
+    old class with the sorted pairs (entry, column class) along it,
+    ranked among the rows, and then the same for the columns, until no
+    class splits.  The classes see only the entries, so permuting the
+    lines of A permutes them the same way."""
+    rows, cols = A.tolist(), A.T.tolist()
+    r, c = [0] * len(rows), [0] * len(cols)
+    count = (1, 1)
+    while True:
+        r = _split(rows, r, c)
+        c = _split(cols, c, r)
+        done = (max(r) + 1, max(c) + 1)
+        if done == count or done == (len(rows), len(cols)):
+            return np.array(r), np.array(c)
+        count = done
+
+
+def _split(lines: list, own: list, other: list) -> list:
+    """One refinement of the classes ``own`` of ``lines``, given the
+    classes ``other`` of the lines across them."""
+    keys = [(k, tuple(sorted(zip(line, other)))) for k, line in zip(own, lines)]
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
+
+
 def _normalize(W: np.ndarray, A: np.ndarray, dense: bool):
     """Signs and order for a connected block W (A is ``|W|``) with no
     zero line; ``dense`` says that W has no zero entry.
@@ -212,15 +242,20 @@ def _normalize(W: np.ndarray, A: np.ndarray, dense: bool):
     takes the sign that makes its largest entry towards an already
     signed line positive, level by level out from the root (one level
     each way when W has no zero entry).  Rows, then columns, are sorted
-    by their sorted entries.  Both rules see only the entries, so a
-    signed permutation of W gives the same matrix unless entries tie."""
+    by their sorted entries.  Ties in either rule go to the line that
+    comes first in the order of the :func:`_refine` classes.  All of it
+    sees only the entries, so a signed permutation of W gives the same
+    matrix unless two lines tie that no class tells apart."""
     m, n = W.shape
-    S = np.sign(W)
     if m == 1 or n == 1:  # a line: make it positive and sort it
+        S = np.sign(W)
         order = np.argsort(A.reshape(-1), kind="stable")
         if m == 1:
             return A[:, order], np.zeros(1, np.intp), order, np.ones(1), S[0, order]
         return A[order], order, np.zeros(1, np.intp), S[order, 0], np.ones(1)
+    p, q = (np.argsort(k, kind="stable") for k in _refine(A))
+    W, A = W[p][:, q], A[p][:, q]
+    S = np.sign(W)
     root = A.max(axis=1).argmax()
     if dense:
         c = S[root]
@@ -242,7 +277,23 @@ def _normalize(W: np.ndarray, A: np.ndarray, dense: bool):
     ro = np.lexsort(np.sort(W, axis=1).T[::-1])
     W = W[ro]
     co = np.lexsort(np.sort(W, axis=0)[::-1])
-    return W[:, co], ro, co, r[ro], c[co]
+    return W[:, co], p[ro], q[co], r[ro], c[co]
+
+
+def _oriented(W: np.ndarray, A: np.ndarray, rows, cols, dense: bool) -> Block:
+    """The normalized block of W, the submatrix of U on ``rows`` and
+    ``cols``, with no more rows than columns: a tall W is transposed, and
+    a square W takes the smaller in bytes of its two orientations, so
+    that a transpose of U has the same blocks."""
+    m, n = W.shape
+    forms = []
+    if m <= n:
+        V, ro, co, rs, cs = _normalize(W, A, dense)
+        forms.append(Block(V, rows[ro], cols[co], rs, cs, False))
+    if m >= n:
+        V, co, ro, cs, rs = _normalize(W.T, A.T, dense)
+        forms.append(Block(V, rows[ro], cols[co], rs, cs, True))
+    return min(forms, key=lambda b: b.matrix.tobytes())
 
 
 def normal_form(u) -> tuple[Block, ...]:
@@ -256,8 +307,9 @@ def normal_form(u) -> tuple[Block, ...]:
     averaging ``(x (+) e c) (x) (y (+) e d)`` over a Rademacher sign e
     cancels the cross terms, and the sup norm of a direct sum is a max
     (the injective norm is a max of entries anyway).  The zero matrix
-    has no block.  Each block is signed and sorted by :func:`_normalize`,
-    and the blocks come in order of shape, then entries.
+    has no block.  Each block is signed and sorted by :func:`_normalize`
+    and turned wide side up by :func:`_oriented`, and the blocks come in
+    order of shape, then entries.
     """
     U = _as_array(u)
     A = np.abs(U)
@@ -282,8 +334,7 @@ def normal_form(u) -> tuple[Block, ...]:
         comps = _components(A > 0)
     blocks = []
     for r, c in comps:
-        W, ro, co, rs, cs = _normalize(U[r][:, c], A[r][:, c], connected)
-        blocks.append(Block(W, rows[r][ro], cols[c][co], rs, cs))
+        blocks.append(_oriented(U[r][:, c], A[r][:, c], rows[r], cols[c], connected))
     blocks.sort(key=lambda b: (b.matrix.shape, b.matrix.tobytes()))
     return tuple(blocks)
 
@@ -404,16 +455,16 @@ class PiSolver:
     Each matrix is solved on its :func:`normal_form`.  A block with one
     row or one column is a vector in a sup-norm space: its value is its
     largest entry, with the matching signed unit form as certificate.
-    The other blocks, smaller side enumerated, are solved together: the
-    epigraph LPs of all of them as one LP, and any block past the
-    epigraph budget by cutting planes.  The value is the largest block
-    value, and the certificate is the winning block's ``B`` put back on
-    the block's rows and columns with their signs, zero elsewhere, with
-    its bound recomputed.  When the normal form is a single block of
-    the input's shape (no line drops, one component), the LP solves the
-    input as it is and its certificate is returned as it is.  A solver's
-    first such matrix is keyed only when a second matrix comes, so a
-    one-shot :func:`pi_norm` does no sorting.
+    The other blocks, rows (the smaller side) enumerated, are solved
+    together: the epigraph LPs of all of them as one LP, and any block
+    past the epigraph budget by cutting planes.  The value is the
+    largest block value, and the certificate is the winning block's
+    ``B`` put back on the block's rows and columns with their signs,
+    zero elsewhere, with its bound recomputed.  An LP is only as exact
+    as HiGHS's tolerances, which an entry below about 1e-7 of the
+    largest one can slip under; solving every matrix on its normal form
+    gives a signed permutation or a transpose of it the very same LP,
+    and so the very same value.
 
     The LP budget applies to the solver's own shape.  A solver instance
     can be reused across matrices of the same shape (sign enumerations,
@@ -432,7 +483,6 @@ class PiSolver:
         self._forms: dict[tuple, list[tuple[float, np.ndarray]]] = {}
         self._epigraphs: dict[tuple[int, int], tuple | None] = {}
         self._cuts: dict[tuple[int, int], tuple[list, set]] = {}
-        self._unkeyed = None  # (U, value, B) of a first solve, not yet keyed
 
     @property
     def _epigraph(self):
@@ -461,15 +511,6 @@ class PiSolver:
         return result
 
     def _solve(self, U: np.ndarray) -> tuple[float, DualCertificate]:
-        if not self._solved and min(U.shape) > 1 and _plainly_irreducible(U):
-            ((value, B),) = self._lp([U])
-            self._unkeyed = U, value, B
-            return value, self._certificate(B)
-        if self._unkeyed is not None:
-            V, value, B = self._unkeyed
-            self._unkeyed = None
-            (block,) = normal_form(V)
-            self._forms[_form_key([block])] = [(value, _to_block(B, block))]
         blocks = normal_form(U)
         if not blocks:  # the zero matrix
             B = np.zeros(U.shape)
@@ -482,11 +523,6 @@ class PiSolver:
             key = _form_key(rest)
             solved = self._forms.get(key)
             if solved is None:
-                if len(rest) == 1 and rest[0].matrix.shape == U.shape:
-                    # irreducible: solved as it is, keyed on its normal form
-                    ((value, B),) = self._lp([U])
-                    self._forms[key] = [(value, _to_block(B, rest[0]))]
-                    return value, self._certificate(B)
                 solved = self._forms[key] = self._lp([b.matrix for b in rest])
             results += solved
         blocks = lines + rest
@@ -495,18 +531,15 @@ class PiSolver:
         return value, self._certificate(_from_block(B, blocks[best], U.shape))
 
     def _lp(self, mats: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
-        """Value and ``B`` of each model, smaller side enumerated: those
+        """Value and ``B`` of each model (no more rows than columns): those
         within the epigraph budget in one LP, the rest by cutting planes."""
-        flip = [W.shape[0] > W.shape[1] for W in mats]
-        mats = [W.T if f else W for W, f in zip(mats, flip)]
         parts = [self._epigraph_of(*W.shape) for W in mats]
         joint = [i for i, part in enumerate(parts) if part is not None]
         solved = {}
         if joint:
             found = _solve_epigraphs([mats[i] for i in joint], [parts[i] for i in joint])
             solved = dict(zip(joint, found))
-        out = [solved[i] if i in solved else self._solve_cutting(W) for i, W in enumerate(mats)]
-        return [(value, B.T if f else B) for (value, B), f in zip(out, flip)]
+        return [solved[i] if i in solved else self._solve_cutting(W) for i, W in enumerate(mats)]
 
     def _solve_cutting(self, U: np.ndarray) -> tuple[float, np.ndarray]:
         m, n = U.shape
@@ -575,24 +608,10 @@ def _line_value(W: np.ndarray) -> tuple[float, np.ndarray]:
     return float(W.flat[k]), B
 
 
-def _plainly_irreducible(U: np.ndarray) -> bool:
-    """No zero entry (so no zero line and one component) and no two
-    lines equal up to sign: the normal form is U signed and permuted."""
-    A = np.abs(U)
-    return (
-        bool((A > 0).all())
-        and _distinct_lines(U, A) is None
-        and _distinct_lines(U.T, A.T) is None
-    )
-
-
-def _to_block(B: np.ndarray, block: Block) -> np.ndarray:
-    """A form on the input model as a form on the block's normal form."""
-    return B[np.ix_(block.rows, block.cols)] * block.row_signs[:, None] * block.col_signs
-
-
 def _from_block(B: np.ndarray, block: Block, shape) -> np.ndarray:
     """A form on the block's normal form put back on the input model."""
+    if block.transposed:
+        B = B.T
     full = np.zeros(shape)
     full[np.ix_(block.rows, block.cols)] = B * block.row_signs[:, None] * block.col_signs
     return full

@@ -265,6 +265,18 @@ class TestNormalForm:
         with pytest.raises(BudgetError):
             pi_norm(np.ones((11, 12)))
 
+    def test_entries_below_lp_tolerance_keep_invariance(self):
+        # HiGHS can misprice an entry under about 1e-7 of the largest, so
+        # a copy is only exact when it reaches the very same LP: unsorted
+        # (first), tied towards signed lines (second), transposed (third)
+        tiny = 2.0**-23
+        for u, v in (
+            ([[0, 0.5], [0, 1], [1, -tiny]], [[0, -0.5], [0, -1], [1, tiny]]),
+            ([[0, 1], [1e-12, 0.5], [1e-12, -1]], [[0, 1], [1e-12, -1], [1e-12, 0.5]]),
+            ([[1, 0], [1, tiny]], [[1, 1], [0, tiny]]),
+        ):
+            assert pi_norm(np.array(u))[0] == pi_norm(np.array(v))[0]
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_signed_permutation_invariance(self, data):
