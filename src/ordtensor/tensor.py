@@ -20,6 +20,7 @@ seeded sampling plus local ascent for weak-2 lower bounds.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -206,46 +207,167 @@ def _components(S: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _refine(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of the rows and of the columns of A by colour refinement.
+def _refine(adj_r: list, adj_c: list, r: list, c: list, twins=False) -> tuple[list, list]:
+    """Colour refinement of a weighted bipartite graph from the row
+    classes ``r`` and column classes ``c``.
 
-    All lines start in one class.  Each round, a row's new class is its
-    old class with the sorted pairs (entry, column class) along it,
+    ``adj_r[i]`` lists the edges of row i as (weight, column) pairs, and
+    ``adj_c`` those of the columns.  Each round, a row's new class is its
+    old class with the sorted pairs (weight, column class) along it,
     ranked among the rows, and then the same for the columns, until no
-    class splits.  The classes see only the entries, so permuting the
-    lines of A permutes them the same way."""
-    rows, cols = A.tolist(), A.T.tolist()
-    r, c = [0] * len(rows), [0] * len(cols)
-    count = (1, 1)
+    class splits.  With ``twins``, vertices ``2i`` and ``2i + 1`` of a
+    side are twins, and a vertex's class also holds its twin's.  The
+    classes see only the graph, so relabelling its vertices relabels
+    them the same way."""
+    count = (max(r) + 1, max(c) + 1)
     while True:
-        r = _split(rows, r, c)
-        c = _split(cols, c, r)
+        r = _split(adj_r, r, c, twins)
+        c = _split(adj_c, c, r, twins)
         done = (max(r) + 1, max(c) + 1)
-        if done == count or done == (len(rows), len(cols)):
-            return np.array(r), np.array(c)
+        if done == count or done == (len(r), len(c)):
+            return r, c
         count = done
 
 
-def _split(lines: list, own: list, other: list) -> list:
-    """One refinement of the classes ``own`` of ``lines``, given the
-    classes ``other`` of the lines across them."""
-    keys = [(k, tuple(sorted(zip(line, other)))) for k, line in zip(own, lines)]
+def _split(adj: list, own: list, other: list, twins: bool) -> list:
+    """One refinement of the classes ``own`` of vertices with edges
+    ``adj``, given the classes ``other`` of the vertices across them."""
+    return _rank(
+        [
+            (k, own[u ^ 1] if twins else 0, tuple(sorted((a, other[w]) for a, w in edges)))
+            for u, (k, edges) in enumerate(zip(own, adj))
+        ]
+    )
+
+
+def _rank(keys: list) -> list:
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     return [rank[key] for key in keys]
 
 
-def _normalize(W: np.ndarray, A: np.ndarray, dense: bool):
-    """Signs and order for a connected block W (A is ``|W|``) with no
-    zero line; ``dense`` says that W has no zero entry.
+def _line_order(W: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An order of the rows and of the columns of W (A is ``|W|``) that
+    depends on its entries alone, up to a signed permutation of W onto
+    itself.
 
-    The row holding the largest entry is the root; every other line
-    takes the sign that makes its largest entry towards an already
-    signed line positive, level by level out from the root (one level
-    each way when W has no zero entry).  Rows, then columns, are sorted
-    by their sorted entries.  Ties in either rule go to the line that
-    comes first in the order of the :func:`_refine` classes.  All of it
-    sees only the entries, so a signed permutation of W gives the same
-    matrix unless two lines tie that no class tells apart."""
+    Colour refinement of ``|W|`` gives it when it tells every line
+    apart.  Otherwise a search refines the signed lines: line i as the
+    two vertices ``+i`` and ``-i``, with ``+i`` joined to ``+j`` where
+    ``W_ij > 0`` and to ``-j`` where ``W_ij < 0``, and ``+i`` twinned
+    with ``-i``, so that a signed permutation of W relabels this graph.
+    The search singles out each vertex of the first class with more
+    than one member in turn, refines again, and goes on until every
+    vertex has a class of its own.  A leaf labels the graph by its
+    classes, and the search takes the leaf whose labelled graph
+    (:func:`_leaf_key`) is the smallest in bytes; it orders the lines by
+    the first class of ``+i`` and ``-i``.
+
+    Two leaves with the same labelled graph give a map of the vertices
+    onto themselves that keeps the graph, and it prunes the search as in
+    nauty.  A vertex that the maps fixing every vertex singled out so far
+    take to one already tried is skipped (changing every sign is such a
+    map from the start).  The map also takes the path to the new leaf
+    onto the path to the old one, since a leaf's classes give back the
+    vertices singled out on its way; so the rest of the branch where the
+    two paths part is the image of a branch already searched, and is
+    left."""
+    m, n = W.shape
+    rows, cols = A.tolist(), A.T.tolist()
+    r, c = _refine(
+        [list(zip(row, range(n))) for row in rows],
+        [list(zip(col, range(m))) for col in cols],
+        [0] * m,
+        [0] * n,
+    )
+    if max(r) + 1 == m and max(c) + 1 == n:
+        return np.argsort(r), np.argsort(c)
+    neg = (W < 0).tolist()
+    adj_r = [
+        [(a, 2 * j + (s ^ neg[i][j])) for j, a in enumerate(rows[i]) if a]
+        for i in range(m)
+        for s in (0, 1)
+    ]
+    adj_c = [
+        [(a, 2 * i + (t ^ neg[i][j])) for i, a in enumerate(cols[j]) if a]
+        for j in range(n)
+        for t in (0, 1)
+    ]
+    maps = [([v ^ 1 for v in range(2 * m)], [v ^ 1 for v in range(2 * n)])]
+    kept = []  # (key, path, vertex at each class) of the first and the least leaf
+
+    def leaf(r, c, path):
+        at = (np.argsort(r), np.argsort(c))
+        key = _leaf_key(W, *at)
+        for old_key, old_path, old_at in kept:
+            if old_key == key:
+                maps.append(tuple(old_at[side][k].tolist() for side, k in enumerate((r, c))))
+                return next(i for i, (a, b) in enumerate(zip(path, old_path)) if a != b)
+        if not kept:
+            kept[:] = [(key, path, at)] * 2
+        elif key < kept[1][0]:
+            kept[1] = (key, path, at)
+        return None
+
+    def search(r, c, path):
+        r, c = _refine(adj_r, adj_c, r, c, twins=True)
+        for side, k in enumerate((r, c)):
+            tied = [x for x, size in Counter(k).items() if size > 1]
+            if not tied:
+                continue
+            cell = min(tied)
+            tried = []
+            for v, x in enumerate(k):
+                if x != cell or _orbit_meets(v, tried, side, path, maps):
+                    continue
+                tried.append(v)
+                alone = _rank([(x, u != v) for u, x in enumerate(k)])
+                back = search(*((alone, c) if side == 0 else (r, alone)), path + [(side, v)])
+                if back is not None and back < len(path):
+                    return back
+            return None
+        return leaf(r, c, path)
+
+    search([x for x in r for _ in (0, 1)], [x for x in c for _ in (0, 1)], [])
+    at = kept[1][2]
+    return tuple(np.unique(a // 2, return_index=True)[1].argsort() for a in at)
+
+
+def _leaf_key(W: np.ndarray, row_at: np.ndarray, col_at: np.ndarray) -> bytes:
+    """The signed graph of W labelled by a leaf's classes, as bytes: entry
+    (x, y) is ``W_ij`` for the vertices ``+-i`` of class x and ``+-j`` of
+    class y, times their signs."""
+    rs, cs = 1.0 - 2.0 * (row_at % 2), 1.0 - 2.0 * (col_at % 2)
+    return (W[row_at // 2][:, col_at // 2] * rs[:, None] * cs + 0.0).tobytes()
+
+
+def _orbit_meets(v: int, targets: list, side: int, fixed: list, maps: list) -> bool:
+    """Whether the maps in ``maps`` that fix every vertex in ``fixed`` take
+    vertex v of ``side`` (0 rows, 1 columns) to one in ``targets``."""
+    if not targets:
+        return False
+    usable = [g[side] for g in maps if all(g[s][u] == u for s, u in fixed)]
+    orbit, todo = {v}, [v]
+    while todo:
+        u = todo.pop()
+        for g in usable:
+            if g[u] not in orbit:
+                orbit.add(g[u])
+                todo.append(g[u])
+    return not orbit.isdisjoint(targets)
+
+
+def _normalize(W: np.ndarray, A: np.ndarray):
+    """Signs and order for a connected block W (A is ``|W|``) with no
+    zero line.
+
+    The lines are first put in the order of :func:`_line_order`.  The
+    row holding the largest entry is the root, ties going to the first
+    in that order; every other line takes the sign that makes its
+    largest entry towards an already signed line positive, level by
+    level out from the root, ties again going to the first.  Rows, then
+    columns, are then sorted by their sorted entries.  All of it sees
+    only the entries, so a signed permutation of W gives the same
+    matrix."""
     m, n = W.shape
     if m == 1 or n == 1:  # a line: make it positive and sort it
         S = np.sign(W)
@@ -253,26 +375,21 @@ def _normalize(W: np.ndarray, A: np.ndarray, dense: bool):
         if m == 1:
             return A[:, order], np.zeros(1, np.intp), order, np.ones(1), S[0, order]
         return A[order], order, np.zeros(1, np.intp), S[order, 0], np.ones(1)
-    p, q = (np.argsort(k, kind="stable") for k in _refine(A))
+    p, q = _line_order(W, A)
     W, A = W[p][:, q], A[p][:, q]
     S = np.sign(W)
     root = A.max(axis=1).argmax()
-    if dense:
-        c = S[root]
-        best = A.argmax(axis=1)
-        r = c[best] * S[np.arange(m), best]
-    else:
-        r, c = np.zeros(m), np.zeros(n)
-        r[root] = 1.0
-        while not (r.all() and c.all()):
-            M = A * (r != 0)[:, None]
-            best = M.argmax(axis=0)
-            new = np.flatnonzero((c == 0) & (M[best, np.arange(n)] > 0))
-            c[new] = r[best[new]] * S[best[new], new]
-            M = A * (c != 0)
-            best = M.argmax(axis=1)
-            new = np.flatnonzero((r == 0) & (M[np.arange(m), best] > 0))
-            r[new] = c[best[new]] * S[new, best[new]]
+    r, c = np.zeros(m), np.zeros(n)
+    r[root] = 1.0
+    while not (r.all() and c.all()):
+        M = A * (r != 0)[:, None]
+        best = M.argmax(axis=0)
+        new = np.flatnonzero((c == 0) & (M[best, np.arange(n)] > 0))
+        c[new] = r[best[new]] * S[best[new], new]
+        M = A * (c != 0)
+        best = M.argmax(axis=1)
+        new = np.flatnonzero((r == 0) & (M[np.arange(m), best] > 0))
+        r[new] = c[best[new]] * S[new, best[new]]
     W = W * r[:, None] * c + 0.0
     ro = np.lexsort(np.sort(W, axis=1).T[::-1])
     W = W[ro]
@@ -280,7 +397,7 @@ def _normalize(W: np.ndarray, A: np.ndarray, dense: bool):
     return W[:, co], p[ro], q[co], r[ro], c[co]
 
 
-def _oriented(W: np.ndarray, A: np.ndarray, rows, cols, dense: bool) -> Block:
+def _oriented(W: np.ndarray, A: np.ndarray, rows, cols) -> Block:
     """The normalized block of W, the submatrix of U on ``rows`` and
     ``cols``, with no more rows than columns: a tall W is transposed, and
     a square W takes the smaller in bytes of its two orientations, so
@@ -288,10 +405,10 @@ def _oriented(W: np.ndarray, A: np.ndarray, rows, cols, dense: bool) -> Block:
     m, n = W.shape
     forms = []
     if m <= n:
-        V, ro, co, rs, cs = _normalize(W, A, dense)
+        V, ro, co, rs, cs = _normalize(W, A)
         forms.append(Block(V, rows[ro], cols[co], rs, cs, False))
     if m >= n:
-        V, co, ro, cs, rs = _normalize(W.T, A.T, dense)
+        V, co, ro, cs, rs = _normalize(W.T, A.T)
         forms.append(Block(V, rows[ro], cols[co], rs, cs, True))
     return min(forms, key=lambda b: b.matrix.tobytes())
 
@@ -314,27 +431,21 @@ def normal_form(u) -> tuple[Block, ...]:
     U = _as_array(u)
     A = np.abs(U)
     support = A > 0
-    rows, cols = np.arange(U.shape[0]), np.arange(U.shape[1])
-    connected = support.all()
-    if not connected:
-        live_r, live_c = support.any(axis=1), support.any(axis=0)
-        if not live_r.any():
-            return ()
-        rows, cols = rows[live_r], cols[live_c]
-        U, A = U[live_r][:, live_c], A[live_r][:, live_c]
+    live_r, live_c = support.any(axis=1), support.any(axis=0)
+    if not live_r.any():
+        return ()
+    rows, cols = np.flatnonzero(live_r), np.flatnonzero(live_c)
+    U, A = U[live_r][:, live_c], A[live_r][:, live_c]
     keep = _distinct_lines(U, A)
     if keep is not None:
         rows, U, A = rows[keep], U[keep], A[keep]
     keep = _distinct_lines(U.T, A.T)
     if keep is not None:
         cols, U, A = cols[keep], U[:, keep], A[:, keep]
-    if connected:
-        comps = [(slice(None), slice(None))]
-    else:
-        comps = _components(A > 0)
-    blocks = []
-    for r, c in comps:
-        blocks.append(_oriented(U[r][:, c], A[r][:, c], rows[r], cols[c], connected))
+    blocks = [
+        _oriented(U[r][:, c], A[r][:, c], rows[r], cols[c])
+        for r, c in _components(A > 0)
+    ]
     blocks.sort(key=lambda b: (b.matrix.shape, b.matrix.tobytes()))
     return tuple(blocks)
 
@@ -383,8 +494,6 @@ def _build_epigraph(m: int, n: int):
 
 def _direct_sum(parts):
     """One LP made of independent epigraph LPs: block-diagonal rows."""
-    if len(parts) == 1:
-        return parts[0]
     As = [A for A, _, _ in parts]
     col_starts = np.cumsum([0] + [A.shape[1] for A in As])
     nnz_starts = np.cumsum([0] + [A.nnz for A in As])
@@ -409,8 +518,8 @@ def _scale(W: np.ndarray) -> float:
     HiGHS works to absolute tolerances (1e-7 on reduced costs), so a
     model with entries near 1e-8 came back with a wrong, even negative,
     value; the norm is homogeneous, and dividing by a power of two is
-    exact, so each LP objective is scaled by it and the value scaled
-    back."""
+    exact, so each LP objective is scaled by it.  The value is read off
+    as ``<B, W>`` on the unscaled model, one formula for every LP."""
     return math.ldexp(1.0, math.ceil(math.log2(float(np.abs(W).max()))))
 
 
@@ -422,15 +531,11 @@ def _solve_epigraphs(mats: list[np.ndarray], parts) -> list[tuple[float, np.ndar
     A, b, bounds = _direct_sum(parts)
     cost = np.zeros(A.shape[1])
     starts = np.cumsum([0] + [part[0].shape[1] for part in parts])
-    scales = [_scale(W) for W in mats]
-    for W, s, scale in zip(mats, starts, scales):
-        cost[s : s + W.size] = -W.reshape(-1) / scale
+    for W, s in zip(mats, starts):
+        cost[s : s + W.size] = -W.reshape(-1) / _scale(W)
     res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"projective-norm LP failed: {res.message}")
-    if len(mats) == 1:
-        (W,) = mats
-        return [(-float(res.fun) * scales[0], res.x[: W.size].reshape(W.shape))]
     Bs = [res.x[s : s + W.size].reshape(W.shape) for W, s in zip(mats, starts)]
     return [(float(np.sum(B * W)), B) for W, B in zip(mats, Bs)]
 
@@ -554,14 +659,12 @@ class PiSolver:
             rows.append(cut.reshape(-1))
             return True
 
-        scale = _scale(U)
-        cost = -U.reshape(-1) / scale
+        cost = -U.reshape(-1) / _scale(U)
         bounds = [(-1.0, 1.0)] * (m * n)
         if not rows:
             for e in E:
                 row = e @ U
                 add_cut(np.outer(e, np.sign(row) + (row == 0)))
-        value, B = None, None
         for _ in range(300):
             A = np.vstack(rows)
             A_ub = np.vstack([A, -A])
@@ -575,7 +678,6 @@ class PiSolver:
             if res.status != 0:
                 raise RuntimeError(f"projective-norm LP failed: {res.message}")
             B = res.x.reshape(m, n)
-            value = -float(res.fun) * scale
             Z = E @ B
             viol = np.abs(Z).sum(axis=1)
             order = np.argsort(viol)[::-1]
@@ -592,7 +694,7 @@ class PiSolver:
                 break
         else:
             raise RuntimeError("projective-norm LP did not converge")
-        return value, B
+        return float(np.sum(B * U)), B
 
 
 def _form_key(blocks) -> tuple:

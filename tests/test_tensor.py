@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ordtensor import harness, tensor
 from ordtensor.tensor import (
@@ -67,6 +67,22 @@ def signed_permutations(draw, U):
     col_signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
     V = U[rows][:, cols] * np.array(row_signs)[:, None] * col_signs
     return V.T if draw(st.booleans()) else V
+
+
+# rows 0 and 1 tie under colour refinement of |U|, which cannot see signs
+TIED_PAIR = (
+    np.array([[0, -3e-8, -1], [-3e-8, 0, -1], [0.5, -0.5, 0.5]]),
+    np.array([[-3e-8, 0, -1], [0, -3e-8, -1], [0.5, -0.5, 0.5]]),
+)
+
+
+def moved_pairs(**shape):
+    """A matrix and a signed permutation of it."""
+    return matrices(**shape).flatmap(lambda U: st.tuples(st.just(U), signed_permutations(U)))
+
+
+def _blocks(blocks):
+    return [(b.matrix.shape, b.matrix.tobytes()) for b in blocks]
 
 
 @st.composite
@@ -278,15 +294,46 @@ class TestNormalForm:
             assert pi_norm(np.array(u))[0] == pi_norm(np.array(v))[0]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_signed_permutation_invariance(self, data):
-        U = data.draw(matrices())
-        V = data.draw(signed_permutations(U))
+    @given(moved_pairs())
+    @example(TIED_PAIR)
+    def test_signed_permutation_invariance(self, pair):
+        U, V = pair
         val, _ = pi_norm(U)
         moved, cert = pi_norm(V)
         assert abs(moved - val) < 1e-12
         assert sign_norm(cert.matrix) <= 1 + 1e-9
         assert abs(pair_dual(V, cert) / cert.bound - moved) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(moved_pairs(max_rows=6, max_cols=6))
+    @example(TIED_PAIR)
+    @example(
+        (  # a signed zero (-0.0) reaches the search's comparisons
+            np.array([[-1, 1, 1, 0], [-1, 1, 1, 0], [1, -1, 1, 1], [0, 0, 1, 1]]) / 2,
+            np.array(
+                [[-1, -0.0, -1, -1], [1, -1, -1, -1], [1, -0.0, 1, 1], [1, -1, -0.0, -0.0]]
+            )
+            / 2,
+        )
+    )
+    def test_normal_form_is_canonical(self, pair):
+        U, V = pair
+        assert _blocks(normal_form(U)) == _blocks(normal_form(V))
+
+    def test_symmetric_models_are_canonical(self):
+        # ties that no refinement splits; the search prunes by symmetries,
+        # and a missed one costs time rather than the result
+        H = np.kron(np.kron([[1.0, 1], [1, -1]], [[1, 1], [1, -1]]), [[1, 1], [1, -1]])
+        cycle = np.eye(10) + np.roll(np.eye(10), 1, axis=1)
+        local = np.random.default_rng(11)
+        for U in (H, np.ones((10, 10)) - np.eye(10), cycle, cycle * [[-1]] + 2 * np.eye(10)):
+            want = _blocks(normal_form(U))
+            for _ in range(3):
+                m, n = U.shape
+                V = U[local.permutation(m)][:, local.permutation(n)]
+                V = V * local.choice([-1.0, 1.0], (m, 1)) * local.choice([-1.0, 1.0], n)
+                assert _blocks(normal_form(V)) == want
+                assert _blocks(normal_form(V.T)) == want
 
     @settings(max_examples=40, deadline=None)
     @given(padded_block_models())
