@@ -304,7 +304,7 @@ class TestNormalForm:
         assert sign_norm(cert.matrix) <= 1 + 1e-9
         assert abs(pair_dual(V, cert) / cert.bound - moved) < 1e-9
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(moved_pairs(max_rows=6, max_cols=6))
     @example(TIED_PAIR)
     @example(
@@ -326,7 +326,7 @@ class TestNormalForm:
         H = np.kron(np.kron([[1.0, 1], [1, -1]], [[1, 1], [1, -1]]), [[1, 1], [1, -1]])
         cycle = np.eye(10) + np.roll(np.eye(10), 1, axis=1)
         local = np.random.default_rng(11)
-        for U in (H, np.ones((10, 10)) - np.eye(10), cycle, cycle * [[-1]] + 2 * np.eye(10)):
+        for U in (H, np.ones((10, 10)) - np.eye(10), cycle, 2 * np.eye(10) - cycle):
             want = _blocks(normal_form(U))
             for _ in range(3):
                 m, n = U.shape
