@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice, tee
 from typing import Iterable, Union
 
 from .ordinal import ONE, Ordinal, as_ordinal, parse_ordinal
@@ -35,7 +36,6 @@ __all__ = [
     "is_maximal",
     "split_blocks",
     "decompose",
-    "node_rank_brute",
     "node_rank_exact",
     "least_shift",
     "parse_family",
@@ -127,15 +127,10 @@ def level_step(level: Ordinal, m: int) -> tuple[Ordinal, int]:
 class _TupleSource:
     """Finite sequence adapter; IndexError signals a cut (partial) block."""
 
-    __slots__ = ("seq",)
+    __slots__ = ("get",)
 
-    def __init__(self, seq):
-        self.seq = seq
-
-    def get(self, i: int) -> int:
-        if i >= len(self.seq):
-            raise IndexError
-        return self.seq[i]
+    def __init__(self, seq: tuple[int, ...]):
+        self.get = seq.__getitem__
 
 
 def _base_block_end(xi: Ordinal, source, start: int) -> int:
@@ -143,8 +138,10 @@ def _base_block_end(xi: Ordinal, source, start: int) -> int:
 
     Runs an explicit work stack of (level, blocks-remaining) frames, so
     high finite levels (which a set with a large minimum reaches through
-    the limit diagonalization) do not recurse.  A finite source that
-    ends mid-walk yields its end index: the block is cut short there.
+    the limit diagonalization) do not recurse.  A level-0 frame of r
+    blocks is r singletons, taken in one step by reading the run's last
+    element.  A finite source that ends mid-walk yields its first missing
+    index: the block is cut short there.
     """
     pos = start
     stack = [[xi, 1]]
@@ -154,14 +151,25 @@ def _base_block_end(xi: Ordinal, source, start: int) -> int:
             stack.pop()
             continue
         level = frame[0]
+        if level.is_zero():
+            stack.pop()
+            try:
+                source.get(pos + frame[1] - 1)
+            except IndexError:
+                # the source ends inside the run: step to its end
+                while True:
+                    try:
+                        source.get(pos)
+                    except IndexError:
+                        return pos
+                    pos += 1
+            pos += frame[1]
+            continue
         try:
             m = source.get(pos)
         except IndexError:
             return pos
         frame[1] -= 1
-        if level.is_zero():
-            pos += 1
-            continue
         stack.append(list(level_step(level, m)))
     return pos
 
@@ -170,7 +178,8 @@ class _MinimaView:
     """Presents the minima of successive S_xi blocks as a sequence.
 
     Inner blocks are walked only as far as the outer walk asks, so a
-    convolution block never looks past its own end.
+    convolution block never looks past its own end.  Past the end of a
+    finite source the view ends too: an empty block raises IndexError.
     """
 
     def __init__(self, xi: Ordinal, source, start: int):
@@ -182,11 +191,13 @@ class _MinimaView:
         return self._source.get(self.position(i))
 
     def position(self, i: int) -> int:
-        while len(self._positions) <= i:
-            self._positions.append(
-                _base_block_end(self._xi, self._source, self._positions[-1])
-            )
-        return self._positions[i]
+        positions = self._positions
+        while len(positions) <= i:
+            end = _base_block_end(self._xi, self._source, positions[-1])
+            if end == positions[-1]:
+                raise IndexError(i)
+            positions.append(end)
+        return positions[i]
 
 
 def _take_block(fam: Family, source, start: int) -> int:
@@ -264,7 +275,8 @@ def split_blocks(fam: Family, E: Iterable[int]) -> tuple[tuple[int, ...], ...]:
 class _Buffered:
     """Strictly increasing integer stream with indexed lookahead.
 
-    Elements convert through ``operator.index``, as in ``as_finite_set``,
+    A lookup past the buffer pulls the missing elements in one read, and
+    never more than the lookup or the budget needs.  Elements convert through ``operator.index``, as in ``as_finite_set``,
     so a float or a string raises ``TypeError`` instead of being truncated.
     """
 
@@ -274,21 +286,24 @@ class _Buffered:
         self._budget = max_elements
 
     def get(self, i: int) -> int:
-        while len(self._buf) <= i:
-            if self._budget is not None and len(self._buf) >= self._budget:
-                raise BudgetExceeded(
-                    f"block needs more than {self._budget} stream elements"
-                )
-            try:
-                v = operator.index(next(self._it))
-            except StopIteration:
-                raise StreamExhausted(
-                    f"stream ended after {len(self._buf)} elements"
-                ) from None
-            if v < 1 or (self._buf and v <= self._buf[-1]):
-                raise ValueError("stream must be strictly increasing and positive")
-            self._buf.append(v)
-        return self._buf[i]
+        buf = self._buf
+        if i < len(buf):
+            return buf[i]
+        want = i + 1 - len(buf)
+        if self._budget is not None:
+            want = max(0, min(want, self._budget - len(buf)))
+        # pull lazily: the pairwise check stops at the first element that
+        # is not an integer or does not increase, as a one-at-a-time read
+        new, ahead, kept = tee(map(operator.index, islice(self._it, want)), 3)
+        if not all(map(operator.lt, chain(buf[-1:] or (0,), new), ahead)):
+            raise ValueError("stream must be strictly increasing and positive")
+        got = len(buf)
+        buf.extend(kept)
+        if len(buf) - got < want:
+            raise StreamExhausted(f"stream ended after {len(buf)} elements")
+        if i >= len(buf):
+            raise BudgetExceeded(f"block needs more than {self._budget} stream elements")
+        return buf[i]
 
     def slice(self, start: int, end: int) -> tuple[int, ...]:
         self.get(end - 1)
@@ -329,49 +344,6 @@ def decompose(
 # -- node ranks in the derived-tree hierarchy --------------------------
 
 
-def node_rank_brute(fam: Family, E: Iterable[int], trunc: int) -> int:
-    """Derived-tree iteration on the truncated family tree.
-
-    Materializes the subtree of the family tree rooted at E (extensions
-    of E by elements <= trunc) and repeatedly removes maximal nodes; the
-    result is the number of rounds E survives.  Ranks are local: the
-    round at which E disappears depends only on its subtree.
-    """
-    E = as_finite_set(E)
-    if not E:
-        raise ValueError("rank of the empty node is not defined")
-    if not _member(fam, E):
-        raise ValueError(f"{E} is not a member of {family_str(fam)}")
-    children: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    stack = [E]
-    while stack:
-        node = stack.pop()
-        kids = []
-        for m in range(node[-1] + 1, trunc + 1):
-            child = node + (m,)
-            if _member(fam, child):
-                kids.append(child)
-        children[node] = kids
-        stack.extend(kids)
-    remaining = {node: len(kids) for node, kids in children.items()}
-    parent = {
-        kid: node for node, kids in children.items() for kid in kids
-    }
-    frontier = [node for node, cnt in remaining.items() if cnt == 0]
-    rank = 0
-    while True:
-        if E in frontier:
-            return rank
-        next_frontier = []
-        for node in frontier:
-            p = parent[node]
-            remaining[p] -= 1
-            if remaining[p] == 0:
-                next_frontier.append(p)
-        frontier = next_frontier
-        rank += 1
-
-
 def node_rank_exact(fam: Family, E: Iterable[int]) -> Ordinal:
     """Exact ordinal rank of E in the (untruncated) family tree.
 
@@ -380,8 +352,8 @@ def node_rank_exact(fam: Family, E: Iterable[int]) -> Ordinal:
     S_2 with greedy S_1-blocks ``B_1 < ... < B_j`` the rank is
     ``w*(min E - j) + (min B_j - |B_j|)``: each unopened inner block
     contributes a factor of w, the unfinished block its remaining slots.
-    The closed forms are validated against :func:`node_rank_brute` in
-    the test suite.
+    The closed forms are validated in the test suite against derived-tree
+    iteration on truncated family trees.
     """
     E = as_finite_set(E)
     if not E:
@@ -398,7 +370,7 @@ def node_rank_exact(fam: Family, E: Iterable[int]) -> Ordinal:
 
         return OMEGA.mul_nat(open_blocks) + Ordinal.from_int(slots)
     raise NotImplementedError(
-        f"no exact rank for {family_str(fam)}; use node_rank_brute"
+        f"no exact rank for {family_str(fam)}: closed forms exist for S[1] and S[2]"
     )
 
 

@@ -569,7 +569,9 @@ class PiSolver:
     as HiGHS's tolerances, which an entry below about 1e-7 of the
     largest one can slip under; solving every matrix on its normal form
     gives a signed permutation or a transpose of it the very same LP,
-    and so the very same value.
+    and so the very same value.  Where that value falls short of the
+    largest entry, the entry's one-entry form is the certificate and
+    the entry the value.
 
     The LP budget applies to the solver's own shape.  A solver instance
     can be reused across matrices of the same shape (sign enumerations,
@@ -633,7 +635,13 @@ class PiSolver:
         blocks = lines + rest
         best = max(range(len(blocks)), key=lambda i: results[i][0])
         value, B = results[best]
-        return value, self._certificate(_from_block(B, blocks[best], U.shape))
+        B = _from_block(B, blocks[best], U.shape)
+        # an entry under HiGHS's tolerances can leave the LP value short
+        # of the largest entry, whose one-entry form is exact
+        entry, E = _line_value(np.abs(U))
+        if entry > value:
+            value, B = entry, np.where(E != 0, np.sign(U), 0.0)
+        return value, self._certificate(B)
 
     def _lp(self, mats: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
         """Value and ``B`` of each model (no more rows than columns): those

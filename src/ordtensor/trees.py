@@ -35,7 +35,6 @@ __all__ = [
     "TreeHandle",
     "build_tree",
     "rank_finite",
-    "finite_node_ranks",
     "cantor_scheme",
     "block_map",
     "block_map_path",
@@ -318,25 +317,6 @@ def rank_finite(nodes: Iterable[tuple]) -> int:
         T &= parents
         rank += 1
     return rank
-
-
-def finite_node_ranks(nodes: Iterable[tuple]) -> dict[tuple, int]:
-    """Per-node ranks of a finite tree: the round at which each node is
-    removed under iterated maximal-node deletion."""
-    T = {tuple(t) for t in nodes}
-    for t in T:
-        if len(t) > 1 and t[:-1] not in T:
-            raise ValueError(f"not prefix-closed: missing {t[:-1]}")
-    ranks: dict[tuple, int] = {}
-    r = 0
-    while T:
-        parents = {t[:-1] for t in T if len(t) > 1}
-        removed = T - parents
-        for t in removed:
-            ranks[t] = r
-        T &= parents
-        r += 1
-    return ranks
 
 
 # -- Cantor schemes along maximal branches --------------------------------

@@ -17,9 +17,11 @@ and absent keys read as the zero vector.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain
 from typing import Mapping
 
@@ -131,9 +133,6 @@ class RadicalSum:
         if self._terms[key] == 0:
             del self._terms[key]
         return self
-
-    def add_rational(self, c) -> "RadicalSum":
-        return self.add(Weight(Fraction(1)), c)
 
     def as_rational(self) -> Fraction | None:
         if not self._terms:
@@ -370,33 +369,34 @@ def verify_perm(xi, zeta, blocks) -> PermReport:
         pos += len(b)
         conv_bounds.append(pos)
 
-    p_full = p_prefix_weights(xi, full)
-    q_full = q_prefix_weights(xi, zeta, full)
+    # p = 1/r and q = 1/sqrt(r) for the descent products r, so each
+    # identity is checked on those integers
+    rp = _prefix_descent(xi, None, full)
+    rq = _prefix_descent(zeta, xi, full)
 
     def check_perm(values_full, bounds, evaluate):
         # deleting the complete blocks before a prefix leaves its weight
         # unchanged: compare against a fresh evaluation of each suffix
-        for cut in bounds[:-1]:
-            suffix_values = evaluate(full[cut:])
-            for j in range(cut + 1, len(full) + 1):
-                if values_full[j - 1] != suffix_values[j - cut - 1]:
-                    return False
-        return True
+        return all(values_full[cut:] == evaluate(full[cut:]) for cut in bounds[:-1])
 
     if xi.is_zero():
-        perm_p = all(p == 1 for p in p_full)
+        perm_p = all(r == 1 for r in rp)
     else:
-        perm_p = check_perm(p_full, inner_bounds, lambda s: p_prefix_weights(xi, s))
+        perm_p = check_perm(rp, inner_bounds, lambda s: _prefix_descent(xi, None, s))
     if zeta.is_zero():
-        perm_q = all(q == Weight(Fraction(1)) for q in q_full)
+        perm_q = all(r == 1 for r in rq)
     else:
-        perm_q = check_perm(
-            q_full, conv_bounds, lambda s: q_prefix_weights(xi, zeta, s)
-        )
+        perm_q = check_perm(rq, conv_bounds, lambda s: _prefix_descent(zeta, xi, s))
+
+    @cache  # the l2 segments are the inner blocks again
+    def p_sum(a: int, b: int) -> Fraction:
+        counts = Counter(rp[a:b])
+        den = math.lcm(*counts)
+        return Fraction(sum(c * (den // r) for r, c in counts.items()), den)
 
     convex = True
     for a, b in zip([0] + inner_bounds, inner_bounds):
-        total = sum(p_full[a:b], Fraction(0))
+        total = p_sum(a, b)
         details.append(("convex_segment", full[a : min(b, a + 4)], str(total)))
         convex = convex and total == 1
 
@@ -406,10 +406,8 @@ def verify_perm(xi, zeta, blocks) -> PermReport:
         total = Fraction(0)
         constant_q = True
         for sa, sb in zip(seg_starts, seg_starts[1:]):
-            qs = q_full[sa:sb]
-            constant_q = constant_q and all(q == qs[0] for q in qs)
-            psum = sum(p_full[sa:sb], Fraction(0))
-            total += qs[0].square() * psum * psum
+            constant_q = constant_q and rq[sa:sb].count(rq[sa]) == sb - sa
+            total += p_sum(sa, sb) ** 2 / rq[sa]
         details.append(("l2_segment", full[a : min(b, a + 4)], str(total)))
         l2_convex = l2_convex and constant_q and total == 1
 

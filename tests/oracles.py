@@ -9,20 +9,36 @@ the library's fast paths replace: the recursive CNF comparison, interval
 unions as point sets, Cantor-scheme cells by whole-union intersection,
 the block map with every prefix split on its own, the spreads of a
 set listed one by one, the projective-norm epigraph matrix built entry
-by entry, and the weak-2 ascent with a fresh LP for every step.
+by entry, the weak-2 ascent with a fresh LP for every step, the block
+walk and stream reads one element at a time, the weight identities in
+Fraction and Weight arithmetic, and derived-tree node ranks by
+iterated removal of maximal nodes.
 """
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 from scipy import sparse
 
 from ordtensor.ordinal import ONE, as_ordinal, omega_pow
-from ordtensor.schreier import Base, Conv, node_rank_exact, split_blocks
+from ordtensor.schreier import (
+    Base,
+    BudgetExceeded,
+    Conv,
+    StreamExhausted,
+    as_finite_set,
+    is_maximal,
+    level_step,
+    member,
+    node_rank_exact,
+    split_blocks,
+)
 from ordtensor.space import union_intersect
 from ordtensor.tensor import pi_norm
+from ordtensor.weights import PermReport, Weight, p_prefix_weights, q_prefix_weights
 
 
 def compositions(E):
@@ -222,3 +238,246 @@ def weak_2_reference(us, *, samples: int = 64, seed: int = 0, ascent_steps: int 
             val, cert, a = new_val, new_cert, a_new
             best = max(best, val)
     return best
+
+
+# -- the block walk and stream reads, one element at a time -------------
+
+
+class StepwiseTuple:
+    """Finite sequence; IndexError past its end cuts the block."""
+
+    def __init__(self, seq):
+        self.seq = seq
+
+    def get(self, i: int) -> int:
+        if i >= len(self.seq):
+            raise IndexError
+        return self.seq[i]
+
+
+def stepwise_block_end(xi, source, start: int) -> int:
+    """Index just past the maximal S_xi block from ``start``, consuming
+    every element of a run of singletons on its own."""
+    pos = start
+    stack = [[xi, 1]]
+    while stack:
+        frame = stack[-1]
+        if frame[1] == 0:
+            stack.pop()
+            continue
+        level = frame[0]
+        try:
+            m = source.get(pos)
+        except IndexError:
+            return pos
+        frame[1] -= 1
+        if level.is_zero():
+            pos += 1
+            continue
+        stack.append(list(level_step(level, m)))
+    return pos
+
+
+class StepwiseMinima:
+    """The minima of successive S_xi blocks; past the end of a finite
+    source every further position is its end."""
+
+    def __init__(self, xi, source, start: int):
+        self._xi = xi
+        self._source = source
+        self._positions = [start]
+
+    def get(self, i: int) -> int:
+        return self._source.get(self.position(i))
+
+    def position(self, i: int) -> int:
+        while len(self._positions) <= i:
+            self._positions.append(
+                stepwise_block_end(self._xi, self._source, self._positions[-1])
+            )
+        return self._positions[i]
+
+
+def stepwise_take_block(fam, source, start: int) -> int:
+    if isinstance(fam, Base):
+        return stepwise_block_end(fam.xi, source, start)
+    view = StepwiseMinima(fam.xi, source, start)
+    return view.position(stepwise_block_end(fam.zeta, view, 0))
+
+
+def stepwise_block_len(fam, seq, start: int) -> int:
+    return stepwise_take_block(fam, StepwiseTuple(seq), start) - start
+
+
+class StepwiseStream:
+    """Strictly increasing integer stream read one element at a time."""
+
+    def __init__(self, source, max_elements=None):
+        self._it = iter(source)
+        self._buf = []
+        self._budget = max_elements
+
+    def get(self, i: int) -> int:
+        while len(self._buf) <= i:
+            if self._budget is not None and len(self._buf) >= self._budget:
+                raise BudgetExceeded(
+                    f"block needs more than {self._budget} stream elements"
+                )
+            try:
+                v = operator.index(next(self._it))
+            except StopIteration:
+                raise StreamExhausted(
+                    f"stream ended after {len(self._buf)} elements"
+                ) from None
+            if v < 1 or (self._buf and v <= self._buf[-1]):
+                raise ValueError("stream must be strictly increasing and positive")
+            self._buf.append(v)
+        return self._buf[i]
+
+
+def stepwise_decompose(fam, stream, k: int, *, max_elements=None):
+    """First k blocks of the decomposition, walked and read stepwise."""
+    bs = StepwiseStream(stream, max_elements)
+    blocks = []
+    pos = 0
+    try:
+        for _ in range(k):
+            end = stepwise_take_block(fam, bs, pos)
+            bs.get(end - 1)
+            blocks.append(tuple(bs._buf[pos:end]))
+            pos = end
+    except (StreamExhausted, BudgetExceeded) as e:
+        e.blocks = tuple(blocks)
+        raise
+    return tuple(blocks)
+
+
+# -- the weight identities in Fraction and Weight arithmetic -------------
+
+
+def verify_perm_reference(xi, zeta, blocks) -> PermReport:
+    """``verify_perm`` evaluated on the weights themselves: p as
+    Fractions and q as Weights, compared prefix by prefix."""
+    xi, zeta = as_ordinal(xi), as_ordinal(zeta)
+    conv = Conv(zeta, xi)
+    blocks = tuple(as_finite_set(b) for b in blocks)
+    for b in blocks:
+        if not member(conv, b) or not is_maximal(conv, b):
+            raise ValueError(f"{b} is not a maximal block of the convolution")
+    full = tuple(chain.from_iterable(blocks))
+    details: list = []
+
+    inner_bounds = []
+    pos = 0
+    for b in split_blocks(Base(xi), full):
+        pos += len(b)
+        inner_bounds.append(pos)
+    conv_bounds = []
+    pos = 0
+    for b in blocks:
+        pos += len(b)
+        conv_bounds.append(pos)
+
+    p_full = p_prefix_weights(xi, full)
+    q_full = q_prefix_weights(xi, zeta, full)
+
+    def check_perm(values_full, bounds, evaluate):
+        for cut in bounds[:-1]:
+            suffix_values = evaluate(full[cut:])
+            for j in range(cut + 1, len(full) + 1):
+                if values_full[j - 1] != suffix_values[j - cut - 1]:
+                    return False
+        return True
+
+    if xi.is_zero():
+        perm_p = all(p == 1 for p in p_full)
+    else:
+        perm_p = check_perm(p_full, inner_bounds, lambda s: p_prefix_weights(xi, s))
+    if zeta.is_zero():
+        perm_q = all(q == Weight(Fraction(1)) for q in q_full)
+    else:
+        perm_q = check_perm(
+            q_full, conv_bounds, lambda s: q_prefix_weights(xi, zeta, s)
+        )
+
+    convex = True
+    for a, b in zip([0] + inner_bounds, inner_bounds):
+        total = sum(p_full[a:b], Fraction(0))
+        details.append(("convex_segment", full[a : min(b, a + 4)], str(total)))
+        convex = convex and total == 1
+
+    l2_convex = True
+    for a, b in zip([0] + conv_bounds, conv_bounds):
+        seg_starts = [a] + [p for p in inner_bounds if a < p < b] + [b]
+        total = Fraction(0)
+        constant_q = True
+        for sa, sb in zip(seg_starts, seg_starts[1:]):
+            qs = q_full[sa:sb]
+            constant_q = constant_q and all(q == qs[0] for q in qs)
+            psum = sum(p_full[sa:sb], Fraction(0))
+            total += qs[0].square() * psum * psum
+        details.append(("l2_segment", full[a : min(b, a + 4)], str(total)))
+        l2_convex = l2_convex and constant_q and total == 1
+
+    return PermReport(perm_p, perm_q, convex, l2_convex, details)
+
+
+# -- derived-tree node ranks ---------------------------------------------
+
+
+def node_rank_brute(fam, E, trunc: int) -> int:
+    """Derived-tree iteration on the truncated family tree.
+
+    Materializes the subtree of the family tree rooted at E (extensions
+    of E by elements <= trunc) and repeatedly removes maximal nodes; the
+    result is the number of rounds E survives.  Ranks are local: the
+    round at which E disappears depends only on its subtree.
+    """
+    E = as_finite_set(E)
+    if not E:
+        raise ValueError("rank of the empty node is not defined")
+    if not member(fam, E):
+        raise ValueError(f"{E} is not a member of the family")
+    children: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    stack = [E]
+    while stack:
+        node = stack.pop()
+        kids = [
+            node + (m,)
+            for m in range(node[-1] + 1, trunc + 1)
+            if member(fam, node + (m,))
+        ]
+        children[node] = kids
+        stack.extend(kids)
+    remaining = {node: len(kids) for node, kids in children.items()}
+    parent = {kid: node for node, kids in children.items() for kid in kids}
+    frontier = [node for node, cnt in remaining.items() if cnt == 0]
+    rank = 0
+    while E not in frontier:
+        next_frontier = []
+        for node in frontier:
+            p = parent[node]
+            remaining[p] -= 1
+            if remaining[p] == 0:
+                next_frontier.append(p)
+        frontier = next_frontier
+        rank += 1
+    return rank
+
+
+def finite_node_ranks(nodes) -> dict[tuple, int]:
+    """Per-node ranks of a finite tree: the round at which each node is
+    removed under iterated maximal-node deletion."""
+    T = {tuple(t) for t in nodes}
+    for t in T:
+        if len(t) > 1 and t[:-1] not in T:
+            raise ValueError(f"not prefix-closed: missing {t[:-1]}")
+    ranks: dict[tuple, int] = {}
+    r = 0
+    while T:
+        parents = {t[:-1] for t in T if len(t) > 1}
+        for t in T - parents:
+            ranks[t] = r
+        T &= parents
+        r += 1
+    return ranks

@@ -22,7 +22,6 @@ from ordtensor.schreier import (
     Conv,
     decompose,
     member,
-    node_rank_brute,
     node_rank_exact,
 )
 from ordtensor.space import (
@@ -37,7 +36,7 @@ from ordtensor.tensor import (
     pi_norm_decomposition,
     weak_1_norm_pi,
 )
-from ordtensor.trees import build_tree, cantor_scheme, finite_node_ranks
+from ordtensor.trees import build_tree, cantor_scheme
 from ordtensor.weights import verify_perm
 from ordtensor.harness import (
     GROTHENDIECK_BOUND,
@@ -47,7 +46,7 @@ from ordtensor.harness import (
     run_sharpness,
 )
 
-from oracles import subsets
+from oracles import finite_node_ranks, node_rank_brute, subsets
 
 F = Ordinal.from_int
 BLOCK_BUDGET = 5000

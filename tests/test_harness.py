@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -237,3 +240,15 @@ class TestCliInputErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ordtensor: error: ")
         assert "Traceback" not in captured.err
+
+
+def test_benchmark_checks_catch_corrupted_results():
+    # the benchmark's own self-test: every checker passes a genuine
+    # result and fails a corrupted one, such as a flipped
+    # weights-permanence-p check in a verify report
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,8 +1,8 @@
-from itertools import chain, count
+from itertools import accumulate, chain, count
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ordtensor.ordinal import OMEGA, ONE, Ordinal
 from ordtensor.schreier import (
@@ -17,13 +17,20 @@ from ordtensor.schreier import (
     least_shift,
     level_step,
     member,
-    node_rank_brute,
     node_rank_exact,
     parse_family,
     split_blocks,
 )
+from ordtensor.schreier import _block_len
 
-from oracles import brute_member, spreads, subsets
+from oracles import (
+    brute_member,
+    node_rank_brute,
+    spreads,
+    stepwise_block_len,
+    stepwise_decompose,
+    subsets,
+)
 from test_ordinal import ordinals
 
 F = Ordinal.from_int
@@ -200,6 +207,101 @@ class TestDecomposeFuzz:
                 assert split_blocks(fam, flat) == blocks
                 checked += 1
         assert checked >= 15
+
+
+LEVELS = [F(0), F(1), F(2), F(3), OMEGA, OMEGA + ONE]
+families = st.one_of(
+    st.sampled_from(LEVELS).map(Base),
+    st.tuples(st.sampled_from(LEVELS), st.sampled_from(LEVELS)).map(lambda t: Conv(*t)),
+)
+
+
+@st.composite
+def increasing_tuples(draw, max_size=60):
+    start = draw(st.integers(1, 8))
+    gaps = draw(st.lists(st.integers(1, 4), max_size=max_size))
+    return tuple(accumulate(gaps, initial=start))
+
+
+class Counting:
+    """An iterator that counts the elements taken from it."""
+
+    def __init__(self, values):
+        self._it = iter(values)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        v = next(self._it)
+        self.pulled += 1
+        return v
+
+
+def outcome(decomp, fam, values, k, budget):
+    """Blocks or the error (type, text, completed blocks), and the count
+    of elements taken from the stream."""
+    stream = Counting(values)
+    try:
+        got = decomp(fam, stream, k, max_elements=budget)
+    except (ValueError, TypeError, StreamExhausted, BudgetExceeded) as e:
+        got = (type(e), str(e), getattr(e, "blocks", None))
+    return got, stream.pulled
+
+
+class TestStepwiseAgreement:
+    """Runs of singletons taken in one step and bulk stream reads give
+    the blocks, errors and element pulls of the walk that takes one
+    element at a time."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(families, increasing_tuples(), st.data())
+    def test_block_len(self, fam, seq, data):
+        start = data.draw(st.integers(0, len(seq)))
+        assert _block_len(fam, seq, start) == stepwise_block_len(fam, seq, start)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        families,
+        increasing_tuples(),
+        st.integers(1, 3),
+        st.one_of(st.none(), st.integers(0, 150)),
+        st.booleans(),
+        st.one_of(st.none(), st.tuples(st.integers(0, 60), st.sampled_from(["x", 2.5, "down"]))),
+    )
+    def test_decompose(self, fam, seq, k, budget, endless, bad):
+        values = list(seq)
+        if bad is not None:
+            at, what = bad
+            at = min(at, len(values) - 1)
+            if what == "down":
+                what = values[at - 1] if at else 0
+            values[at] = what
+
+        def stream():
+            # an endless stream only under a budget
+            if endless and budget is not None:
+                return chain(values, count(seq[-1] + 1))
+            return values
+
+        assert outcome(decompose, fam, stream(), k, budget) == outcome(
+            stepwise_decompose, fam, stream(), k, budget
+        )
+
+    @pytest.mark.parametrize(
+        "values, error", [([3, 2, "x"], ValueError), ([3, "x", 2], TypeError)]
+    )
+    @pytest.mark.parametrize("fam", [Base(1), Conv(1, 1)], ids=family_str)
+    def test_first_bad_element_decides_the_error(self, values, error, fam):
+        new, old = (outcome(d, fam, values, 1, None) for d in (decompose, stepwise_decompose))
+        assert new == old
+        assert new[0][0] is error and new[1] == 2
+
+    def test_budget_pulls_exactly_the_budget(self):
+        for fam in (Base(2), Conv(1, 1), Base(OMEGA)):
+            got, pulled = outcome(decompose, fam, count(3), 2, 40)
+            assert got[0] is BudgetExceeded and pulled == 40
 
 
 class TestCanonicalRep:

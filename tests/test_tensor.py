@@ -212,6 +212,16 @@ class TestPiNorm:
             for u, want in ((m, 1.5), (m * [[1], [-1]], 1.5), (dense, base)):
                 assert abs(pi_norm(a * u)[0] - a * want) <= 1e-9 * a * want
 
+    def test_tolerance_loss_falls_back_to_largest_entry(self):
+        # the 2^-23 entry slips under HiGHS's tolerance and the LP value
+        # came back as 0.99999994, below the largest entry
+        u = np.array([[2.0**-23, 0.5], [-1.0, -0.5]])
+        val, cert = pi_norm(u)
+        assert val == 1.0
+        assert cert.bound == 1.0
+        assert pair_dual(u, cert) / cert.bound == val
+        assert abs(pi_norm_decomposition(u)[0] - val) < 1e-9
+
     def test_certificate_feasibility_rechecked(self):
         u = rng.uniform(-1, 1, size=(4, 5))
         _, cert = pi_norm(u)

@@ -18,11 +18,15 @@ from ordtensor.trees import (
     block_map_path,
     build_tree,
     cantor_scheme,
-    finite_node_ranks,
     rank_finite,
 )
 
-from oracles import block_map_path_reference, cantor_cells_reference, subsets
+from oracles import (
+    block_map_path_reference,
+    cantor_cells_reference,
+    finite_node_ranks,
+    subsets,
+)
 
 F = Ordinal.from_int
 W = OMEGA

@@ -1,12 +1,12 @@
 import math
 from fractions import Fraction
-from itertools import chain, count
+from itertools import accumulate, chain, count
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ordtensor.ordinal import OMEGA, Ordinal
-from ordtensor.schreier import Base, Conv, decompose, split_blocks
+from ordtensor.schreier import Base, BudgetExceeded, Conv, decompose, split_blocks
 from ordtensor.weights import (
     PermReport,
     RadicalSum,
@@ -21,7 +21,7 @@ from ordtensor.weights import (
     verify_perm,
 )
 
-from oracles import oracle_p, oracle_q, subsets
+from oracles import oracle_p, oracle_q, subsets, verify_perm_reference
 
 
 class TestWeight:
@@ -56,7 +56,7 @@ class TestRadicalSum:
         assert s.as_rational() is None
         s.add(Weight(Fraction(1), 3), Fraction(-1, 2))
         assert s == 0
-        s.add_rational(1)
+        s.add(Weight(Fraction(1)), 1)
         assert s == 1
 
     def test_mixed_radicands_not_rational(self):
@@ -209,6 +209,26 @@ class TestVerifyPerm:
     def test_rejects_non_maximal_blocks(self):
         with pytest.raises(ValueError):
             verify_perm(1, 0, [(3, 4)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([0, 1, 2, OMEGA]),
+        st.sampled_from([0, 1, 2, OMEGA]),
+        st.integers(1, 4),
+        st.lists(st.integers(1, 3), max_size=40),
+        st.integers(1, 3),
+    )
+    def test_matches_weight_arithmetic(self, xi, zeta, start, gaps, k):
+        # the integer descent products against p as Fractions and q as
+        # Weights: the same report, details included
+        head = list(accumulate(gaps, initial=start))
+        stream = chain(head, count(head[-1] + 1))
+        try:
+            blocks = decompose(Conv(zeta, xi), stream, k, max_elements=800)
+        except BudgetExceeded as e:
+            blocks = e.blocks
+        assume(blocks)
+        assert verify_perm(xi, zeta, blocks) == verify_perm_reference(xi, zeta, blocks)
 
 
 @st.composite
