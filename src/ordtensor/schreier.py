@@ -125,12 +125,14 @@ def level_step(level: Ordinal, m: int) -> tuple[Ordinal, int]:
 
 
 class _TupleSource:
-    """Finite sequence adapter; IndexError signals a cut (partial) block."""
+    """Finite sequence adapter; IndexError signals a cut (partial) block,
+    and ``end()`` is then the first missing index."""
 
-    __slots__ = ("get",)
+    __slots__ = ("get", "end")
 
     def __init__(self, seq: tuple[int, ...]):
         self.get = seq.__getitem__
+        self.end = seq.__len__
 
 
 def _base_block_end(xi: Ordinal, source, start: int) -> int:
@@ -156,13 +158,7 @@ def _base_block_end(xi: Ordinal, source, start: int) -> int:
             try:
                 source.get(pos + frame[1] - 1)
             except IndexError:
-                # the source ends inside the run: step to its end
-                while True:
-                    try:
-                        source.get(pos)
-                    except IndexError:
-                        return pos
-                    pos += 1
+                return source.end()  # the source ends inside the run
             pos += frame[1]
             continue
         try:
@@ -189,6 +185,11 @@ class _MinimaView:
 
     def get(self, i: int) -> int:
         return self._source.get(self.position(i))
+
+    def end(self) -> int:
+        """The first missing index, once a read has failed: positions
+        stop at the first one past the source's end."""
+        return len(self._positions) - 1
 
     def position(self, i: int) -> int:
         positions = self._positions
@@ -295,10 +296,14 @@ class _Buffered:
         # pull lazily: the pairwise check stops at the first element that
         # is not an integer or does not increase, as a one-at-a-time read
         new, ahead, kept = tee(map(operator.index, islice(self._it, want)), 3)
-        if not all(map(operator.lt, chain(buf[-1:] or (0,), new), ahead)):
-            raise ValueError("stream must be strictly increasing and positive")
         got = len(buf)
-        buf.extend(kept)
+        try:
+            if not all(map(operator.lt, chain(buf[-1:] or (0,), new), ahead)):
+                raise ValueError("stream must be strictly increasing and positive")
+            buf.extend(kept)
+        except IndexError as err:
+            # the block walk reads IndexError as the end of a finite set
+            raise RuntimeError("stream raised IndexError") from err
         if len(buf) - got < want:
             raise StreamExhausted(f"stream ended after {len(buf)} elements")
         if i >= len(buf):

@@ -21,7 +21,7 @@ from ordtensor.schreier import (
     parse_family,
     split_blocks,
 )
-from ordtensor.schreier import _block_len
+from ordtensor.schreier import _block_len, _take_block
 
 from oracles import (
     brute_member,
@@ -162,6 +162,17 @@ class TestDecompose:
         assert blocks == ((2, 3),) and all(type(v) is int for v in blocks[0])
         assert decompose(Base(0), iter([True, 2]), 2) == ((1,), (2,))
 
+    def test_index_error_from_the_stream_is_not_a_cut(self):
+        # the walk reads IndexError as the end of a finite set; from a
+        # stream it once cut (3, 4) short as a whole S[1] block
+        def stream():
+            yield from (3, 4)
+            raise IndexError
+
+        for fam in (Base(1), Base(2), Conv(1, 1)):
+            with pytest.raises(RuntimeError, match="stream raised IndexError"):
+                decompose(fam, stream(), 1)
+
     def test_errors_carry_completed_blocks(self):
         with pytest.raises(StreamExhausted) as err:
             decompose(Base(1), iter([3, 4, 5, 6, 7]), 2)
@@ -297,6 +308,23 @@ class TestStepwiseAgreement:
         new, old = (outcome(d, fam, values, 1, None) for d in (decompose, stepwise_decompose))
         assert new == old
         assert new[0][0] is error and new[1] == 2
+
+    def test_cut_run_of_minima_stops_at_the_source_end(self):
+        # a run of a million minima over a two-element set reads no
+        # further than the set, as a one-at-a-time walk does
+        reads = []
+
+        class Source:
+            def get(self, i):
+                reads.append(i)
+                return seq[i]
+
+            def end(self):
+                return len(seq)
+
+        seq = (10**6, 10**6 + 1)
+        assert _take_block(Conv(1, 0), Source(), 0) == 2
+        assert len(reads) < 10
 
     def test_budget_pulls_exactly_the_budget(self):
         for fam in (Base(2), Conv(1, 1), Base(OMEGA)):
