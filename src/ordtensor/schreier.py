@@ -258,7 +258,12 @@ def split_blocks(fam: Family, E: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     Returns successive blocks, each a member of ``fam``, where every
     block except possibly the last is maximal in ``fam``.
     """
-    E = as_finite_set(E)
+    return _split(fam, as_finite_set(E))
+
+
+def _split(fam: Family, E: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """:func:`split_blocks` of a set that :func:`as_finite_set` has
+    already checked: the descents split slices of such sets."""
     if not E:
         raise ValueError("cannot split the empty set")
     blocks = []
@@ -368,7 +373,7 @@ def node_rank_exact(fam: Family, E: Iterable[int]) -> Ordinal:
     if isinstance(fam, Base) and fam.xi == ONE:
         return Ordinal.from_int(E[0] - len(E))
     if isinstance(fam, Base) and fam.xi == Ordinal.from_int(2):
-        blocks = split_blocks(Base(ONE), E)
+        blocks = _split(Base(ONE), E)
         open_blocks = E[0] - len(blocks)
         slots = blocks[-1][0] - len(blocks[-1])
         from .ordinal import OMEGA

@@ -10,7 +10,9 @@ finite.  Over these models:
   by the sign constraints ``|eps^T B delta| <= 1``.  Both the supremum
   (certificate form) and the infimum over decompositions into sign
   dyads (synthesis form) are linear programs, solved here with HiGHS;
-  the two give independent routes to the same value.
+  the two give independent routes to the same value.  Every LP is
+  written on two-sided rows ``lo <= A x <= hi`` and goes through one
+  call site, :func:`linprog`, scipy's ``milp`` with no integer variable.
 
 Weakly p-summing norms of vector and matrix families are provided with
 the budgets they admit: exact sign enumeration for the weak-1 norm, and
@@ -29,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.linalg import block_diag
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 __all__ = [
     "TensorMatrix",
@@ -450,51 +452,72 @@ def normal_form(u) -> tuple[Block, ...]:
     return tuple(blocks)
 
 
-def _build_epigraph(m: int, n: int):
-    """The l1-epigraph LP of the m x n model as ``(A, b, bounds)``, or
-    None past ``MAX_EPIGRAPH_VARS``.
+def linprog(cost: np.ndarray, A, lo: np.ndarray, hi: np.ndarray, bounds: np.ndarray):
+    """Minimize ``cost @ x`` over ``lo <= A x <= hi`` with ``bounds[k]``
+    the interval of ``x_k`` (one row for all): the one HiGHS call of the
+    tensor layer.
 
-    |eps^T B delta| <= 1 for all delta is the l1 bound ||B^T eps||_1 <= 1,
-    written with one absolute-value variable per (eps, column): an exact
-    single LP with no constraint generation.  The structure is
+    It calls scipy's ``milp`` with no integer variable, which hands the
+    two-sided rows to HiGHS as they are; ``scipy.optimize.linprog``
+    takes only one-sided rows and equalities, and spends about 2 ms a
+    call on its input handling before HiGHS starts.  The result has no
+    iteration count."""
+    res = milp(
+        cost,
+        constraints=LinearConstraint(A, lo, hi),
+        bounds=Bounds(bounds[:, 0], bounds[:, 1]),
+    )
+    if res.status != 0:
+        raise RuntimeError(f"projective-norm LP failed: {res.message}")
+    return res
+
+
+def _build_epigraph(m: int, n: int):
+    """The l1-epigraph LP of the m x n model as ``(A, lo, hi, bounds)``,
+    or None past ``MAX_EPIGRAPH_VARS``.
+
+    |eps^T B delta| <= 1 for all delta is the l1 bound ||B^T eps||_1 <= 1.
+    Each entry ``(eps_p^T B)_j`` is split as ``a_pj - c_pj`` with
+    ``a, c`` in [0, 1] and ``sum_j (a_pj + c_pj) <= 1``: any feasible
+    point has ``|(eps_p^T B)_j| <= a_pj + c_pj``, and the positive and
+    negative parts of a feasible B are feasible, so the optimum is the
+    same as with one absolute-value row per sign.  An exact single LP
+    with no constraint generation; the structure is
     objective-independent, so a solver builds it once per shape."""
     E = _signs(m, fix_first=True)
     P = len(E)
     if P * n > MAX_EPIGRAPH_VARS:
         return None
-    # Row 2*(p*n + j) + s reads sign_s * (eps_p^T B)_j - t_pj <= 0, and row
-    # 2*P*n + p reads sum_j t_pj <= 1; columns are B row-major, then t
-    # row-major.
+    # Row p*n + j reads (eps_p^T B)_j - a_pj + c_pj = 0, and row P*n + p
+    # reads sum_j (a_pj + c_pj) <= 1; columns are B row-major, then the
+    # pairs (a_pj, c_pj) in (p, j) order.
     mn, Pn = m * n, P * n
-    t_cols = mn + np.arange(Pn)
-    data = np.empty((P, n, 2, m + 1))
-    data[..., :m] = E[:, None, None, :] * np.array([[1.0], [-1.0]])
-    data[..., m] = -1.0
-    cols = np.empty((P, n, 2, m + 1), dtype=np.intp)
-    cols[..., :m] = np.arange(n)[:, None, None] + n * np.arange(m)
-    cols[..., m] = t_cols.reshape(P, n, 1)
+    data = np.empty((P, n, m + 2))
+    data[..., :m] = E[:, None, :]
+    data[..., m:] = (-1.0, 1.0)
+    cols = np.empty((P, n, m + 2), dtype=np.intp)
+    cols[..., :m] = np.arange(n)[:, None] + n * np.arange(m)
+    cols[..., m:] = (mn + 2 * np.arange(Pn)).reshape(P, n, 1) + np.arange(2)
     indptr = np.concatenate(
-        [
-            (m + 1) * np.arange(2 * Pn + 1),
-            2 * Pn * (m + 1) + n * np.arange(1, P + 1),
-        ]
+        [(m + 2) * np.arange(Pn + 1), Pn * (m + 2) + 2 * n * np.arange(1, P + 1)]
     )
     A = sparse.csr_matrix(
         (
-            np.concatenate([data.reshape(-1), np.ones(Pn)]),
-            np.concatenate([cols.reshape(-1), t_cols]),
+            np.concatenate([data.reshape(-1), np.ones(2 * Pn)]),
+            np.concatenate([cols.reshape(-1), mn + np.arange(2 * Pn)]),
             indptr,
         ),
-        shape=(2 * Pn + P, mn + Pn),
+        shape=(Pn + P, mn + 2 * Pn),
     )
-    b = np.concatenate([np.zeros(2 * Pn), np.ones(P)])
-    bounds = np.repeat([[-1.0, 1.0], [0.0, 1.0]], [mn, Pn], axis=0)
-    return A, b, bounds
+    lo = np.concatenate([np.zeros(Pn), np.full(P, -np.inf)])
+    hi = np.concatenate([np.zeros(Pn), np.ones(P)])
+    bounds = np.repeat([[-1.0, 1.0], [0.0, 1.0]], [mn, 2 * Pn], axis=0)
+    return A, lo, hi, bounds
 
 
 def _direct_sum(parts):
     """One LP made of independent epigraph LPs: block-diagonal rows."""
-    As = [A for A, _, _ in parts]
+    As = [part[0] for part in parts]
     col_starts = np.cumsum([0] + [A.shape[1] for A in As])
     nnz_starts = np.cumsum([0] + [A.nnz for A in As])
     A = sparse.csr_matrix(
@@ -507,9 +530,7 @@ def _direct_sum(parts):
         ),
         shape=(sum(A.shape[0] for A in As), col_starts[-1]),
     )
-    b = np.concatenate([b for _, b, _ in parts])
-    bounds = np.concatenate([bounds for _, _, bounds in parts])
-    return A, b, bounds
+    return (A,) + tuple(np.concatenate([part[k] for part in parts]) for k in (1, 2, 3))
 
 
 def _scale(W: np.ndarray) -> float:
@@ -527,15 +548,13 @@ def _solve_epigraphs(mats: list[np.ndarray], parts) -> list[tuple[float, np.ndar
     """Values and optimal ``B`` of models with the epigraph LPs ``parts``,
     all in one LP: the direct sum of the LPs separates, so its optimum
     is optimal on each part, and a small model's LP costs little more
-    than the fixed cost of a ``linprog`` call."""
-    A, b, bounds = _direct_sum(parts)
+    than the fixed cost of a HiGHS call."""
+    A, lo, hi, bounds = _direct_sum(parts)
     cost = np.zeros(A.shape[1])
     starts = np.cumsum([0] + [part[0].shape[1] for part in parts])
     for W, s in zip(mats, starts):
         cost[s : s + W.size] = -W.reshape(-1) / _scale(W)
-    res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"projective-norm LP failed: {res.message}")
+    res = linprog(cost, A, lo, hi, bounds)
     Bs = [res.x[s : s + W.size].reshape(W.shape) for W, s in zip(mats, starts)]
     return [(float(np.sum(B * W)), B) for W, B in zip(mats, Bs)]
 
@@ -548,14 +567,17 @@ class PiSolver:
     over all delta is exactly ``||B^T eps||_1 <= 1``.  Two equivalent
     routes exploit this:
 
-    * an l1-epigraph formulation (one auxiliary variable per enumerated
-      sign vector and column, :func:`_build_epigraph`) solved as a single LP,
-      used whenever it fits the size budget;
+    * an l1-epigraph formulation (for each enumerated sign vector and
+      column, one equality row splitting the entry of ``B^T eps`` into
+      its positive and negative parts, :func:`_build_epigraph`) solved
+      as a single LP, used whenever it fits the size budget;
     * cutting planes with the exact separation oracle
-      ``delta = sign(B^T eps)``, for long matrices.
+      ``delta = sign(B^T eps)``, for long matrices, each cut one
+      two-sided row ``-1 <= <eps (x) delta, B> <= 1``.
 
-    Both produce a certificate feasible for every sign constraint and
-    optimal over the full polytope.
+    Both go to HiGHS through :func:`linprog`, and both produce a
+    certificate feasible for every sign constraint and optimal over the
+    full polytope.
 
     Each matrix is solved on its :func:`normal_form`.  A block with one
     row or one column is a vector in a sup-norm space: its value is its
@@ -668,23 +690,13 @@ class PiSolver:
             return True
 
         cost = -U.reshape(-1) / _scale(U)
-        bounds = [(-1.0, 1.0)] * (m * n)
         if not rows:
             for e in E:
                 row = e @ U
                 add_cut(np.outer(e, np.sign(row) + (row == 0)))
         for _ in range(300):
-            A = np.vstack(rows)
-            A_ub = np.vstack([A, -A])
-            res = linprog(
-                cost,
-                A_ub=A_ub,
-                b_ub=np.ones(A_ub.shape[0]),
-                bounds=bounds,
-                method="highs",
-            )
-            if res.status != 0:
-                raise RuntimeError(f"projective-norm LP failed: {res.message}")
+            ones = np.ones(len(rows))
+            res = linprog(cost, np.vstack(rows), -ones, ones, np.array([[-1.0, 1.0]]))
             B = res.x.reshape(m, n)
             Z = E @ B
             viol = np.abs(Z).sum(axis=1)
@@ -768,16 +780,8 @@ def pi_norm_decomposition(
     D = _signs(n)
     dyads = np.einsum("ai,bj->abij", E, D).reshape(-1, m * n).T  # (mn, K)
     K = dyads.shape[1]
-    A_eq = np.hstack([dyads, -dyads])
-    res = linprog(
-        np.ones(2 * K),
-        A_eq=A_eq,
-        b_eq=U.reshape(-1),
-        bounds=[(0, None)] * (2 * K),
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"decomposition LP failed: {res.message}")
+    b = U.reshape(-1)
+    res = linprog(np.ones(2 * K), np.hstack([dyads, -dyads]), b, b, np.array([[0.0, np.inf]]))
     lam = res.x[:K] - res.x[K:]
     terms = []
     for k in np.nonzero(np.abs(lam) > 1e-12)[0]:
@@ -805,19 +809,26 @@ def weak_p_norm_vec(xs: Sequence, p: float) -> float:
     return float((np.abs(arr) ** p).sum(axis=0).max() ** (1.0 / p))
 
 
+def _wide_stack(us: Sequence) -> np.ndarray:
+    """The matrices of a family stacked, each turned wide side up when
+    they have more rows than columns."""
+    mats = [_as_array(u) for u in us]
+    if not mats:
+        raise ValueError("a family needs at least one matrix")
+    stack = np.stack(mats)
+    return stack.transpose(0, 2, 1) if stack.shape[1] > stack.shape[2] else stack
+
+
 def weak_1_norm_pi(us: Sequence) -> float:
     """Exact weakly 1-summing norm of matrices under the projective norm.
 
     Enumerates all sign patterns (the extreme points of the l_inf ball
     of coefficients) and takes the largest projective norm of the
     signed sum."""
-    mats = [_as_array(u) for u in us]
-    k = len(mats)
+    stack = _wide_stack(us)
+    k = len(stack)
     if k > MAX_SIGN_FAMILY:
         raise BudgetError(f"family of {k} exceeds the sign budget {MAX_SIGN_FAMILY}")
-    stack = np.stack(mats)
-    if stack.shape[1] > stack.shape[2]:
-        stack = stack.transpose(0, 2, 1)
     solver = PiSolver(*stack.shape[1:])
     best = 0.0
     for signs in product((-1.0, 1.0), repeat=k - 1):
@@ -841,10 +852,7 @@ def weak_2_norm_pi_lower(
     steps of certificate-gradient ascent from each.  Deterministic for
     a fixed seed; only ever a lower bound.
     """
-    mats = [_as_array(u) for u in us]
-    stack = np.stack(mats)
-    if stack.shape[1] > stack.shape[2]:
-        stack = stack.transpose(0, 2, 1)
+    stack = _wide_stack(us)
     mats = list(stack)
     k = len(mats)
     solver = PiSolver(*stack.shape[1:])

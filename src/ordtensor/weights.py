@@ -30,6 +30,7 @@ from .schreier import (
     Base,
     Conv,
     Family,
+    _split,
     as_finite_set,
     decompose,
     is_maximal,
@@ -174,7 +175,7 @@ def _descent(level: Ordinal, inner: Ordinal | None, E: tuple[int, ...]) -> int:
     """Product of the minima along the descent into the last block of E."""
     r = 1
     while not level.is_zero():
-        E = split_blocks(_family(level, inner), E)[-1]
+        E = _split(_family(level, inner), E)[-1]
         level, count = level_step(level, E[0])
         r *= count
     return r
@@ -194,7 +195,7 @@ def _prefix_descent(level: Ordinal, inner: Ordinal | None, E: tuple[int, ...]) -
             out[a:b] = [r] * (b - a)
             continue
         c = a
-        for block in split_blocks(_family(level, inner), E[a:b]):
+        for block in _split(_family(level, inner), E[a:b]):
             d = c + len(block)
             below, count = level_step(level, E[c])
             stack.append((below, c, d, r * count))

@@ -9,7 +9,8 @@ the library's fast paths replace: the recursive CNF comparison, interval
 unions as point sets, Cantor-scheme cells by whole-union intersection,
 the block map with every prefix split on its own, the spreads of a
 set listed one by one, the projective-norm epigraph matrix built entry
-by entry, the weak-2 ascent with a fresh LP for every step, the block
+by entry, the earlier two-sided epigraph LP solved by scipy's
+``linprog``, the weak-2 ascent with a fresh LP for every step, the block
 walk and stream reads one element at a time, the weight identities in
 Fraction and Weight arithmetic, and derived-tree node ranks by
 iterated removal of maximal nodes.
@@ -22,6 +23,7 @@ from itertools import chain, combinations, product
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import linprog
 
 from ordtensor.ordinal import ONE, as_ordinal, omega_pow
 from ordtensor.schreier import (
@@ -181,8 +183,43 @@ def block_map_path_reference(xi, zeta, handle, E) -> list:
 
 
 def epigraph_reference(E, n: int):
-    """The l1-epigraph constraints ``(A, b)`` of the projective-norm LP
-    for the sign rows ``E``, built one entry at a time."""
+    """The split-variable epigraph rows ``(A, lo, hi)`` of the
+    projective-norm LP for the sign rows ``E``, built one entry at a
+    time: ``(eps_p^T B)_j - a_pj + c_pj = 0`` for each sign row p and
+    column j, then ``sum_j (a_pj + c_pj) <= 1`` for each p."""
+    P, m = E.shape
+    rows_i, cols_i, vals = [], [], []
+    pair = m * n  # column of a_00; c_pj follows a_pj
+    r = 0
+    for p in range(P):
+        for j in range(n):
+            for i in range(m):
+                rows_i.append(r)
+                cols_i.append(i * n + j)
+                vals.append(E[p, i])
+            for k, sign in enumerate((-1.0, 1.0)):
+                rows_i.append(r)
+                cols_i.append(pair + 2 * (p * n + j) + k)
+                vals.append(sign)
+            r += 1
+    for p in range(P):
+        for j in range(n):
+            for k in range(2):
+                rows_i.append(r)
+                cols_i.append(pair + 2 * (p * n + j) + k)
+                vals.append(1.0)
+        r += 1
+    A = sparse.csr_matrix((vals, (rows_i, cols_i)), shape=(r, m * n + 2 * P * n))
+    lo = np.array([0.0] * (P * n) + [-np.inf] * P)
+    hi = np.array([0.0] * (P * n) + [1.0] * P)
+    return A, lo, hi
+
+
+def two_sided_epigraph(E, n: int):
+    """The earlier l1-epigraph constraints ``(A, b)``, ``A x <= b``, of
+    the projective-norm LP for the sign rows ``E``, built one entry at a
+    time: ``+-(eps_p^T B)_j - t_pj <= 0``, two one-sided rows for each
+    sign row p and column j, then ``sum_j t_pj <= 1`` for each p."""
     P, m = E.shape
     rows_i, cols_i, vals = [], [], []
     r = 0
@@ -206,6 +243,26 @@ def epigraph_reference(E, n: int):
     A = sparse.csr_matrix((vals, (rows_i, cols_i)), shape=(r, m * n + P * n))
     b = np.concatenate([np.zeros(2 * P * n), np.ones(P)])
     return A, b
+
+
+def two_sided_pi_norm(u) -> float:
+    """The projective norm of u from the two-sided epigraph LP of the
+    whole model, no normal form, solved by ``scipy.optimize.linprog``;
+    the value is read as ``<B, U>``."""
+    U = np.asarray(u, dtype=float)
+    if U.shape[0] > U.shape[1]:
+        U = U.T
+    if not U.any():
+        return 0.0
+    m, n = U.shape
+    E = np.array([(1.0,) + signs for signs in product((-1.0, 1.0), repeat=m - 1)])
+    A, b = two_sided_epigraph(E, n)
+    cost = np.zeros(A.shape[1])
+    cost[: m * n] = -U.reshape(-1) / np.abs(U).max()
+    bounds = [(-1.0, 1.0)] * (m * n) + [(0.0, 1.0)] * (A.shape[1] - m * n)
+    res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(np.sum(res.x[: m * n].reshape(m, n) * U))
 
 
 def weak_2_reference(us, *, samples: int = 64, seed: int = 0, ascent_steps: int = 8):

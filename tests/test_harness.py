@@ -229,9 +229,12 @@ class TestCliInputErrors:
             ["schreier", "decompose", "--family", "S[2]", "--stream", "3",
              "--count", "2", "--block-budget", "50"],
             ["schreier", "decompose", "--family", "S[1]", "--stream", "3,4"],
+            ["tensor", "weakp", "--p", "1", "--matrices", "[]"],
+            ["tensor", "weakp", "--p", "2", "--matrices", "[]"],
         ],
         ids=["family", "set-order", "ragged-matrix", "weights-perm-blocks-0",
-             "verify-perm-blocks-0", "budget", "stream-exhausted"],
+             "verify-perm-blocks-0", "budget", "stream-exhausted", "empty-weak-1-family",
+             "empty-weak-2-family"],
     )
     def test_exit_code_two(self, argv, capsys):
         assert main(argv) == 2

@@ -23,7 +23,7 @@ from ordtensor.tensor import (
     weak_p_norm_vec,
 )
 
-from oracles import epigraph_reference, weak_2_reference
+from oracles import epigraph_reference, two_sided_pi_norm, weak_2_reference
 
 rng = np.random.default_rng(12345)
 
@@ -47,10 +47,16 @@ entries = st.one_of(
     st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
     st.floats(-1, 1, allow_nan=False),
 )
+# the same lattice beside floats no smaller than 2^-10: HiGHS's absolute
+# tolerances can misprice an entry near 1e-7, whichever way the LP is written
+coarse_entries = st.one_of(
+    st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
+    st.floats(2.0**-10, 1).flatmap(lambda x: st.sampled_from([x, -x])),
+)
 
 
 @st.composite
-def matrices(draw, max_rows=4, max_cols=5):
+def matrices(draw, max_rows=4, max_cols=5, entries=entries):
     m = draw(st.integers(1, max_rows))
     n = draw(st.integers(1, max_cols))
     vals = draw(st.lists(entries, min_size=m * n, max_size=m * n))
@@ -397,17 +403,36 @@ class TestPiSolver:
         assert len(shapes) == 52
         for m, n in shapes:
             solver = PiSolver(m, n)
-            A, b, bounds = solver._epigraph
-            ref_A, ref_b = epigraph_reference(solver.E, n)
+            A, lo, hi, bounds = solver._epigraph
+            ref_A, ref_lo, ref_hi = epigraph_reference(solver.E, n)
             assert A.shape == ref_A.shape
             for part in ("indptr", "indices", "data"):
                 got, want = getattr(A, part), getattr(ref_A, part)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert np.array_equal(b, ref_b)
+            assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
             P = len(solver.E)
             assert np.array_equal(
-                bounds, np.array([(-1.0, 1.0)] * (m * n) + [(0.0, 1.0)] * (P * n))
+                bounds, np.array([(-1.0, 1.0)] * (m * n) + [(0.0, 1.0)] * (2 * P * n))
             )
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(max_rows=6, max_cols=7, entries=coarse_entries))
+    def test_value_matches_two_sided_epigraph(self, U):
+        assert abs(pi_norm(U)[0] - two_sided_pi_norm(U)) < 1e-9
+
+    @pytest.mark.parametrize("kind, side", [("dense", 7), ("dense", 8), ("rank-one", 8)])
+    def test_cutting_route_matches_epigraph(self, kind, side):
+        local = np.random.default_rng(side)
+        if kind == "dense":
+            U = local.uniform(-1, 1, (side, side))
+        else:
+            U = np.outer(local.uniform(-1, 1, side), local.uniform(-1, 1, side))
+        (block,) = normal_form(U)
+        W = block.matrix
+        [(want, _)] = tensor._solve_epigraphs([W], [tensor._build_epigraph(side, side)])
+        got, B = PiSolver(side, side)._solve_cutting(W)
+        assert abs(got - want) < 1e-9
+        assert sign_norm(B) <= 1 + 1e-9
 
 
 class TestWeakNorms:
@@ -454,6 +479,11 @@ class TestWeakNorms:
             best = max(best, np.abs(x).max() * np.abs(y).max())
         assert abs(weak_1_norm_pi(us) - best) < 1e-9
         assert 0 < len(linprog_calls) <= k
+
+    def test_empty_family_is_refused(self):
+        for weak in (weak_1_norm_pi, weak_2_norm_pi_lower):
+            with pytest.raises(ValueError, match="^a family needs at least one matrix$"):
+                weak([])
 
     def test_weak1_budget(self):
         with pytest.raises(BudgetError):

@@ -92,6 +92,29 @@ class TestPWeight:
         assert p_weight(OMEGA, E) == p_prefix_weights(OMEGA, E)[-1]
         assert p_weight(OMEGA, E) == Fraction(1, 500**501)
 
+    def test_descents_do_not_recheck_their_slices(self, monkeypatch):
+        # the weight's own set is checked once; the slices the descent
+        # splits come from it and go to the block walk unchecked
+        import ordtensor.schreier as schreier
+        import ordtensor.weights as weights
+
+        weights._p.cache_clear()
+        weights._q.cache_clear()
+        checked = []
+
+        def counting(values):
+            checked.append(1)
+            return real(values)
+
+        real = schreier.as_finite_set
+        monkeypatch.setattr(schreier, "as_finite_set", counting)
+        E = tuple(range(40, 48))
+        assert p_weight(OMEGA, E) == Fraction(1, 40**41)
+        assert q_prefix_weights(1, OMEGA, E)[-1] == q_weight(1, OMEGA, E)
+        assert checked == []
+        assert split_blocks(Base(1), [3, 4, 5, 6]) == ((3, 4, 5), (6,))
+        assert checked == [1]
+
     def test_ordinal_text_levels(self):
         E = (3, 4, 5)
         assert p_weight("w", E) == p_weight(OMEGA, E)
