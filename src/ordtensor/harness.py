@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -181,14 +182,27 @@ def make_stream(text: str) -> Iterator[int]:
     return iter(values)
 
 
+def _timed(run):
+    """The scenario ``run`` with its report's ``wall_time_s`` set."""
+
+    @functools.wraps(run)
+    def timed(cfg: ScenarioConfig) -> Report:
+        t0 = time.perf_counter()
+        rep = run(cfg)
+        rep.wall_time_s = time.perf_counter() - t0
+        return rep
+
+    return timed
+
+
 # -- weight identity suite ----------------------------------------------
 
 
+@_timed
 def run_perm_suite(cfg: ScenarioConfig) -> Report:
     """Exact verification of the four weight identities on one stream."""
     if cfg.blocks < 1:
         raise ValueError(f"blocks must be at least 1, got {cfg.blocks}")
-    t0 = time.perf_counter()
     rep = Report(
         "perm",
         {"xi": cfg.xi, "zeta": cfg.zeta, "stream": cfg.stream, "blocks": cfg.blocks,
@@ -221,7 +235,6 @@ def run_perm_suite(cfg: ScenarioConfig) -> Report:
         ]:
             rep.add(label, cid, "== 1 (exact rational)", str(ok), ok, True,
                     detail=f"block sizes {sizes}")
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -260,10 +273,10 @@ def _spreading(members: set[tuple[int, ...]], bound: int) -> bool:
     )
 
 
+@_timed
 def run_family_suite(cfg: ScenarioConfig) -> Report:
     """Hereditary/spreading checks, the successor identity, and the
     empirical inclusion properties of the standard fundamental sequences."""
-    t0 = time.perf_counter()
     rep = Report("families", {"ground": 10})
     ground = range(1, 11)
     families = [
@@ -339,7 +352,6 @@ def run_family_suite(cfg: ScenarioConfig) -> Report:
                 ok,
                 True,
             )
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -369,6 +381,7 @@ def _segments(path):
     return segs
 
 
+@_timed
 def run_sharpness(cfg: ScenarioConfig) -> Report:
     """Lower-bound verification for the square-root re-blocked average.
 
@@ -379,7 +392,6 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
     projective-norm lower bound, by LP when the model fits the sign
     budget and otherwise through the exact Rademacher Gram certificate.
     """
-    t0 = time.perf_counter()
     rep = Report(
         "sharpness",
         {
@@ -400,7 +412,6 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
         blocks = decompose(fam, make_stream(cfg.stream), 1, max_elements=cfg.block_budget)
     except BudgetExceeded as e:
         rep.skip("first-block", "sharpness-block-materialization", str(e))
-        rep.wall_time_s = time.perf_counter() - t0
         return rep
     E = blocks[0]
     inner_blocks = split_blocks(Base(xi), E)
@@ -582,13 +593,13 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
             w2 <= 1,
             True,
         )
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 # -- blocking demo --------------------------------------------------------
 
 
+@_timed
 def run_blocking_demo(cfg: ScenarioConfig) -> Report:
     """Disjointly supported averages stay weakly 1-summing.
 
@@ -599,7 +610,6 @@ def run_blocking_demo(cfg: ScenarioConfig) -> Report:
     into a column-disjoint and a row-disjoint half, with one-sided
     weak-2 bounds against the Grothendieck constant.
     """
-    t0 = time.perf_counter()
     eps = Fraction(cfg.eps)
     rep = Report(
         "blocking",
@@ -716,16 +726,15 @@ def run_blocking_demo(cfg: ScenarioConfig) -> Report:
         lower <= 2 * GROTHENDIECK_BOUND + 1e-9,
         False,
     )
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 # -- Grothendieck probe ----------------------------------------------------
 
 
+@_timed
 def run_groth_probe(cfg: ScenarioConfig) -> Report:
     """One-sided weak-2 checks for tensor pairs of bounded families."""
-    t0 = time.perf_counter()
     rep = Report("groth", {"samples": cfg.samples, "seed": cfg.seed})
     rng = np.random.default_rng(cfg.seed)
     H = np.array(
@@ -772,13 +781,13 @@ def run_groth_probe(cfg: ScenarioConfig) -> Report:
         lower_disj <= w1 + 1e-9,
         False,
     )
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 # -- randomized biorthogonal lower bounds ----------------------------------
 
 
+@_timed
 def run_lower_bound_probe(cfg: ScenarioConfig) -> Report:
     """Randomized biorthogonal configurations keep projective norm >= 1.
 
@@ -787,7 +796,6 @@ def run_lower_bound_probe(cfg: ScenarioConfig) -> Report:
     and unit square-sum across blocks, and verifies both the exact
     pairing identity and the LP lower bound.
     """
-    t0 = time.perf_counter()
     rep = Report("lower-bound-probe", {"seed": cfg.seed, "samples": min(cfg.samples, 8)})
     rng = np.random.default_rng(cfg.seed)
     tree = build_tree(1, max_root=4)
@@ -839,7 +847,6 @@ def run_lower_bound_probe(cfg: ScenarioConfig) -> Report:
             False,
             detail=f"blocks {block_sizes}",
         )
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 

@@ -34,7 +34,6 @@ from scipy.linalg import block_diag
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 __all__ = [
-    "TensorMatrix",
     "DualCertificate",
     "BudgetError",
     "eps_norm",
@@ -60,35 +59,7 @@ class BudgetError(ValueError):
     """The instance exceeds the configured enumeration budget."""
 
 
-@dataclass(frozen=True)
-class TensorMatrix:
-    """A matrix with optional row/column labels naming the model points."""
-
-    entries: np.ndarray
-    row_labels: tuple = ()
-    col_labels: tuple = ()
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("entries must form a non-empty 2-d matrix")
-        if not np.isfinite(arr).all():
-            raise ValueError("entries must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-    def to_json(self):
-        return [list(map(float, row)) for row in self.entries]
-
-
 def _as_array(u) -> np.ndarray:
-    if isinstance(u, TensorMatrix):
-        return u.entries
     arr = np.asarray(u, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("expected a non-empty 2-d matrix")
@@ -127,6 +98,8 @@ def _signs(k: int, fix_first: bool = False) -> np.ndarray:
 
 
 def _check_lp_budget(m: int, n: int):
+    """The one LP budget: the smaller side is enumerated, 2^(side-1)
+    sign vectors, and the model has at most ``MAX_LP_ENTRIES`` entries."""
     if min(m, n) > MAX_LP_SIDE:
         raise BudgetError(
             f"matrix min side {min(m, n)} exceeds the LP budget {MAX_LP_SIDE}"
@@ -148,13 +121,10 @@ def sign_norm(B) -> float:
     smaller side needs enumeration.  Exact by convexity.
     """
     B = _as_array(B)
+    _check_lp_budget(*B.shape)
     if B.shape[0] > B.shape[1]:
         B = B.T
-    m, n = B.shape
-    if m > MAX_LP_SIDE:
-        raise BudgetError(f"matrix min side {m} exceeds the LP budget {MAX_LP_SIDE}")
-    E = _signs(m, fix_first=True)
-    return float(np.abs(E @ B).sum(axis=1).max())
+    return float(np.abs(_signs(len(B), fix_first=True) @ B).sum(axis=1).max())
 
 
 class Block(NamedTuple):
@@ -560,7 +530,7 @@ def _solve_epigraphs(mats: list[np.ndarray], parts) -> list[tuple[float, np.ndar
 
 
 class PiSolver:
-    """Exact projective-norm solver over one model shape.
+    """Exact projective-norm solver over finite sup-norm models.
 
     Maximizes ``<B, U>`` over the polytope ``|eps^T B delta| <= 1``.
     For a fixed sign vector eps on the enumerated side, the constraint
@@ -587,53 +557,41 @@ class PiSolver:
     past the epigraph budget by cutting planes.  The value is the
     largest block value, and the certificate is the winning block's
     ``B`` put back on the block's rows and columns with their signs,
-    zero elsewhere, with its bound recomputed.  An LP is only as exact
-    as HiGHS's tolerances, which an entry below about 1e-7 of the
-    largest one can slip under; solving every matrix on its normal form
-    gives a signed permutation or a transpose of it the very same LP,
-    and so the very same value.  Where that value falls short of the
-    largest entry, the entry's one-entry form is the certificate and
-    the entry the value.
+    zero elsewhere, its bound recomputed by :func:`sign_norm`.  An LP is
+    only as exact as HiGHS's tolerances, which an entry below about 1e-7
+    of the largest one can slip under; solving every matrix on its
+    normal form gives a signed permutation or a transpose of it the very
+    same LP, and so the very same value.  Where that value falls short
+    of the largest entry, the entry's one-entry form is the certificate
+    and the entry the value.
 
-    The LP budget applies to the solver's own shape.  A solver instance
-    can be reused across matrices of the same shape (sign enumerations,
-    ascent iterations): a matrix it has seen returns its first answer,
-    the same objects, and a matrix with the LP blocks of one it has
-    solved, such as a signed permutation of it, costs no new LP (HiGHS
-    is deterministic, so that is what a new LP would give).  Cutting
-    planes found for a shape are kept for the solver's later matrices.
+    The LP budget applies to each input's shape, before its normal
+    form.  A solver takes matrices of any shape and can be reused
+    (sign enumerations, ascent iterations): a matrix it has seen
+    returns its first answer, the same objects, and a matrix with the
+    LP blocks of one it has solved, such as a signed permutation or a
+    transpose of it, costs no new LP (HiGHS is deterministic, so that
+    is what a new LP would give).  Cutting planes found for a block
+    shape are kept for the solver's later matrices.
     """
 
-    def __init__(self, m: int, n: int):
-        _check_lp_budget(m, n)
-        self.m, self.n = m, n
-        self.E = _signs(m, fix_first=True)
-        self._solved: dict[bytes, tuple[float, DualCertificate]] = {}
+    def __init__(self):
+        self._solved: dict[tuple, tuple[float, DualCertificate]] = {}
         self._forms: dict[tuple, list[tuple[float, np.ndarray]]] = {}
         self._epigraphs: dict[tuple[int, int], tuple | None] = {}
         self._cuts: dict[tuple[int, int], tuple[list, set]] = {}
-
-    @property
-    def _epigraph(self):
-        """The epigraph LP of the solver's own shape, or None past its budget."""
-        return self._epigraph_of(self.m, self.n)
 
     def _epigraph_of(self, m: int, n: int):
         if (m, n) not in self._epigraphs:
             self._epigraphs[m, n] = _build_epigraph(m, n)
         return self._epigraphs[m, n]
 
-    def _certificate(self, B: np.ndarray) -> DualCertificate:
-        bound = float(np.abs(self.E @ B).sum(axis=1).max())
-        return DualCertificate(B, max(bound, 1e-300))
-
     def solve(self, U: np.ndarray) -> tuple[float, DualCertificate]:
         """Optimal value and certificate; a matrix seen before by this
         solver returns its first answer without a new LP."""
         U = _as_array(U)
-        if U.shape != (self.m, self.n):
-            raise ValueError("matrix shape does not match the solver's model")
-        key = U.tobytes()
+        _check_lp_budget(*U.shape)
+        key = (U.shape, U.tobytes())
         result = self._solved.get(key)
         if result is None:
             result = self._solved[key] = self._solve(U)
@@ -644,7 +602,7 @@ class PiSolver:
         if not blocks:  # the zero matrix
             B = np.zeros(U.shape)
             B[0, 0] = 1.0
-            return 0.0, self._certificate(B)
+            return 0.0, _certificate(B)
         lines = [b for b in blocks if min(b.matrix.shape) == 1]
         rest = [b for b in blocks if min(b.matrix.shape) > 1]
         results = [_line_value(b.matrix) for b in lines]
@@ -663,7 +621,7 @@ class PiSolver:
         entry, E = _line_value(np.abs(U))
         if entry > value:
             value, B = entry, np.where(E != 0, np.sign(U), 0.0)
-        return value, self._certificate(B)
+        return value, _certificate(B)
 
     def _lp(self, mats: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
         """Value and ``B`` of each model (no more rows than columns): those
@@ -717,6 +675,10 @@ class PiSolver:
         return float(np.sum(B * U)), B
 
 
+def _certificate(B: np.ndarray) -> DualCertificate:
+    return DualCertificate(B, max(sign_norm(B), 1e-300))
+
+
 def _form_key(blocks) -> tuple:
     return tuple((b.matrix.shape, b.matrix.tobytes()) for b in blocks)
 
@@ -742,23 +704,13 @@ def _from_block(B: np.ndarray, block: Block, shape) -> np.ndarray:
 def pi_norm(u) -> tuple[float, DualCertificate]:
     """Projective norm with an optimal dual certificate.
 
-    One-shot interface over :class:`PiSolver`; the matrix is oriented so
-    the smaller side is enumerated, and the returned certificate matches
-    the input orientation with an independently re-verified bound.
+    One-shot interface over :class:`PiSolver`; the certificate has the
+    input's shape and an independently re-verified bound.
     """
-    U = _as_array(u)
-    transposed = U.shape[0] > U.shape[1]
-    if transposed:
-        U = U.T
-    value, cert = PiSolver(*U.shape).solve(U)
-    if transposed:
-        cert = DualCertificate(cert.matrix.T, cert.bound)
-    return value, cert
+    return PiSolver().solve(u)
 
 
-def pi_norm_decomposition(
-    u, *, max_constraints: int = MAX_CONSTRAINTS
-) -> tuple[float, list[tuple[float, np.ndarray, np.ndarray]]]:
+def pi_norm_decomposition(u) -> tuple[float, list[tuple[float, np.ndarray, np.ndarray]]]:
     """Projective norm via explicit decomposition into sign dyads.
 
     The unit ball of the projective norm on a finite sup-norm model is
@@ -772,10 +724,8 @@ def pi_norm_decomposition(
     """
     U = _as_array(u)
     m, n = U.shape
-    if 2 ** (m + n) > max_constraints:
-        raise BudgetError(
-            f"2^{m + n} sign dyads exceed the budget {max_constraints}"
-        )
+    if 2 ** (m + n) > MAX_CONSTRAINTS:
+        raise BudgetError(f"2^{m + n} sign dyads exceed the budget {MAX_CONSTRAINTS}")
     E = _signs(m, fix_first=True)
     D = _signs(n)
     dyads = np.einsum("ai,bj->abij", E, D).reshape(-1, m * n).T  # (mn, K)
@@ -809,14 +759,12 @@ def weak_p_norm_vec(xs: Sequence, p: float) -> float:
     return float((np.abs(arr) ** p).sum(axis=0).max() ** (1.0 / p))
 
 
-def _wide_stack(us: Sequence) -> np.ndarray:
-    """The matrices of a family stacked, each turned wide side up when
-    they have more rows than columns."""
+def _stack(us: Sequence) -> np.ndarray:
+    """The matrices of a family stacked."""
     mats = [_as_array(u) for u in us]
     if not mats:
         raise ValueError("a family needs at least one matrix")
-    stack = np.stack(mats)
-    return stack.transpose(0, 2, 1) if stack.shape[1] > stack.shape[2] else stack
+    return np.stack(mats)
 
 
 def weak_1_norm_pi(us: Sequence) -> float:
@@ -825,11 +773,11 @@ def weak_1_norm_pi(us: Sequence) -> float:
     Enumerates all sign patterns (the extreme points of the l_inf ball
     of coefficients) and takes the largest projective norm of the
     signed sum."""
-    stack = _wide_stack(us)
+    stack = _stack(us)
     k = len(stack)
     if k > MAX_SIGN_FAMILY:
         raise BudgetError(f"family of {k} exceeds the sign budget {MAX_SIGN_FAMILY}")
-    solver = PiSolver(*stack.shape[1:])
+    solver = PiSolver()
     best = 0.0
     for signs in product((-1.0, 1.0), repeat=k - 1):
         a = np.array((1.0,) + signs)
@@ -852,10 +800,10 @@ def weak_2_norm_pi_lower(
     steps of certificate-gradient ascent from each.  Deterministic for
     a fixed seed; only ever a lower bound.
     """
-    stack = _wide_stack(us)
+    stack = _stack(us)
     mats = list(stack)
     k = len(mats)
-    solver = PiSolver(*stack.shape[1:])
+    solver = PiSolver()
     rng = np.random.default_rng(seed)
     starts = [np.eye(k)[i] for i in range(k)]
     for _ in range(samples):

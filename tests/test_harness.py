@@ -17,6 +17,7 @@ from ordtensor.harness import (
     make_stream,
     reports_to_csv,
     reports_to_json,
+    run_all,
     run_family_suite,
     run_groth_probe,
     run_perm_suite,
@@ -122,6 +123,21 @@ class TestScenarios:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "a70d6d531e97d8e8b2a4e92ac4c6ae26f4c773b7d97ead82ad91ca93302fb9bd"
         )
+
+    def test_all_golden_report(self):
+        # every scenario of `verify all` at seed 0, wall time excluded; its
+        # float checks print LP values, so the digest pins those as well
+        reports = run_all(ScenarioConfig(seed=0))
+        assert all(r.wall_time_s > 0 for r in reports)
+        text = reports_to_json(reports, include_wall_time=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4c26b257c708a9bae400ce9153bc56259a63d46ac389269f68775d332af085e7"
+        )
+
+    def test_sharpness_cut_at_its_first_block_is_timed(self):
+        rep = run_sharpness(ScenarioConfig(xi="1", zeta="1", stream="2", block_budget=10))
+        assert [c.check_id for c in rep.checks] == ["sharpness-block-materialization"]
+        assert rep.wall_time_s > 0
 
 
 @st.composite

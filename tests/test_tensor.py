@@ -10,7 +10,6 @@ from ordtensor.tensor import (
     BudgetError,
     DualCertificate,
     PiSolver,
-    TensorMatrix,
     canonical_model,
     eps_norm,
     normal_form,
@@ -205,7 +204,7 @@ class TestPiNorm:
         with pytest.raises(BudgetError):
             pi_norm(np.ones((11, 12)))
         with pytest.raises(BudgetError):
-            pi_norm_decomposition(np.ones((10, 10)), max_constraints=1 << 10)
+            pi_norm_decomposition(np.ones((10, 10)))
 
     def test_homogeneous_at_tiny_and_huge_scales(self):
         # the LP works to absolute tolerances: unscaled, 2.85e-8 * m came
@@ -229,9 +228,14 @@ class TestPiNorm:
         assert abs(pi_norm_decomposition(u)[0] - val) < 1e-9
 
     def test_certificate_feasibility_rechecked(self):
-        u = rng.uniform(-1, 1, size=(4, 5))
-        _, cert = pi_norm(u)
-        assert abs(sign_norm(cert.matrix) - cert.bound) < 1e-12
+        # the bound is sign_norm itself, on the smaller side of any shape
+        local = np.random.default_rng(21)
+        inputs = [rng.uniform(-1, 1, size=(4, 5))]
+        for shape in ((20, 2), (6, 3)):
+            inputs += [local.uniform(-1, 1, shape), np.zeros(shape)]
+        for u in inputs:
+            _, cert = pi_norm(u)
+            assert cert.bound == sign_norm(cert.matrix)
 
     def test_duality_inequality(self):
         u = rng.uniform(-1, 1, size=(3, 3))
@@ -261,7 +265,7 @@ class TestNormalForm:
         u = np.outer(x, y)
         (block,) = normal_form(u)
         assert block.matrix.shape == (10, 10)
-        assert PiSolver(10, 10)._epigraph is None
+        assert tensor._build_epigraph(10, 10) is None
         val, _ = pi_norm(u)
         assert abs(val - np.abs(x).max() * np.abs(y).max()) < 1e-9
         assert linprog_calls
@@ -280,20 +284,24 @@ class TestNormalForm:
         u = np.array([[1.0, 0.0, 0.25], [0.5, -1.0, 0.0], [0.0, 0.75, -0.5]])
         v = u.copy()
         v[v == 0] = -0.0
-        solver = PiSolver(3, 3)
+        solver = PiSolver()
         assert solver.solve(u)[0] == solver.solve(v)[0]
         assert len(linprog_calls) == 1
 
     def test_non_finite_entries_are_refused(self):
         # a NaN reads as no entry in the support, and its block never settled
+        inputs = [np.zeros((0, 2)), np.array([[np.inf]])]
         for bad in (np.nan, np.inf):
-            for u in ([[bad, 0.0], [0.0, 0.0]], [[bad, 1.0], [1.0, 0.5]]):
-                for call in (pi_norm, normal_form, PiSolver(2, 2).solve):
-                    with pytest.raises(ValueError):
-                        call(np.array(u))
+            inputs += [np.array([[bad, 0.0], [0.0, 0.0]]), np.array([[bad, 1.0], [1.0, 0.5]])]
+        for u in inputs:
+            for call in (pi_norm, normal_form, PiSolver().solve):
+                with pytest.raises(ValueError):
+                    call(u)
 
-    def test_budget_is_on_the_input_shape(self):
-        # all ones reduces to a 1x1 model, yet the input is past the budget
+    def test_budget_is_on_the_input_shape(self, monkeypatch):
+        # all ones reduces to a 1x1 model, yet the input is past the budget,
+        # and it is refused before its normal form is taken
+        monkeypatch.setattr(tensor, "normal_form", None)
         with pytest.raises(BudgetError):
             pi_norm(np.ones((11, 12)))
 
@@ -374,7 +382,7 @@ class TestPiSolver:
     def test_repeat_matrix_solved_once(self, linprog_calls):
         calls = linprog_calls
         u = np.random.default_rng(7).uniform(-1, 1, size=(3, 4))
-        solver = PiSolver(3, 4)
+        solver = PiSolver()
         first = solver.solve(u)
         second = solver.solve(u.copy())
         assert len(calls) == 1
@@ -388,7 +396,7 @@ class TestPiSolver:
         # a matrix that is not a signed permutation of u costs one LP
         solver.solve(u * [1, 2, 3, 4])
         assert len(calls) == 2
-        value, cert = PiSolver(3, 4).solve(u)
+        value, cert = PiSolver().solve(u)
         assert len(calls) == 3
         assert value == first[0] and np.array_equal(cert.matrix, first[1].matrix)
         assert cert.bound == first[1].bound
@@ -402,15 +410,15 @@ class TestPiSolver:
         ]
         assert len(shapes) == 52
         for m, n in shapes:
-            solver = PiSolver(m, n)
-            A, lo, hi, bounds = solver._epigraph
-            ref_A, ref_lo, ref_hi = epigraph_reference(solver.E, n)
+            E = tensor._signs(m, fix_first=True)
+            A, lo, hi, bounds = tensor._build_epigraph(m, n)
+            ref_A, ref_lo, ref_hi = epigraph_reference(E, n)
             assert A.shape == ref_A.shape
             for part in ("indptr", "indices", "data"):
                 got, want = getattr(A, part), getattr(ref_A, part)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
-            P = len(solver.E)
+            P = len(E)
             assert np.array_equal(
                 bounds, np.array([(-1.0, 1.0)] * (m * n) + [(0.0, 1.0)] * (2 * P * n))
             )
@@ -430,9 +438,36 @@ class TestPiSolver:
         (block,) = normal_form(U)
         W = block.matrix
         [(want, _)] = tensor._solve_epigraphs([W], [tensor._build_epigraph(side, side)])
-        got, B = PiSolver(side, side)._solve_cutting(W)
+        got, B = PiSolver()._solve_cutting(W)
         assert abs(got - want) < 1e-9
         assert sign_norm(B) <= 1 + 1e-9
+
+    def test_tall_matrix_enumerates_its_short_side(self, monkeypatch):
+        # the certificate bound too: 2^19 sign rows of the long side would
+        # take a second here, and 2^29 at 30 rows about 129 GB
+        sides = []
+        real = tensor._signs
+
+        def spy(k, fix_first=False):
+            sides.append(k)
+            return real(k, fix_first)
+
+        monkeypatch.setattr(tensor, "_signs", spy)
+        U = np.random.default_rng(20).uniform(-1, 1, (20, 2))
+        value, cert = PiSolver().solve(U)
+        assert sides and max(sides) <= 2
+        assert cert.matrix.shape == (20, 2)
+        assert abs(pair_dual(U, cert) / cert.bound - value) < 1e-9
+
+    def test_equal_bytes_of_another_shape_are_another_matrix(self):
+        U = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        V = U.reshape(3, 2)
+        assert U.tobytes() == V.tobytes()
+        solver = PiSolver()
+        assert solver.solve(U)[0] == pi_norm(U)[0] == 1.0
+        value, cert = solver.solve(V)
+        assert value == pi_norm(V)[0] and abs(value - 1.5) < 1e-9
+        assert cert.matrix.shape == (3, 2)
 
 
 class TestWeakNorms:
@@ -544,15 +579,6 @@ class TestInjectiveWeak2Tensorization:
 
 
 class TestModelHelpers:
-    def test_tensor_matrix_wrapper(self):
-        tm = TensorMatrix(np.eye(2), row_labels=("a", "b"))
-        assert tm.shape == (2, 2)
-        with pytest.raises(ValueError):
-            TensorMatrix(np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            TensorMatrix(np.array([np.inf]).reshape(1, 1))
-        assert abs(pi_norm(tm)[0] - 1.0) < 1e-9
-
     def test_canonical_model_preserves_norms(self):
         u = rng.uniform(-1, 1, size=(3, 3))
         padded = np.vstack([u, u[1], np.zeros(3)])
