@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Sequence
@@ -53,6 +54,11 @@ MAX_LP_ENTRIES = 1 << 14
 MAX_EPIGRAPH_VARS = 1 << 12  # prefer the one-shot l1-epigraph LP below this
 MAX_CONSTRAINTS = 1 << 18
 MAX_SIGN_FAMILY = 8
+RANK_ONE_TOL = 1e-12
+"""A block within this share of its largest entry of rank one is that
+entry, with no LP (:func:`_rank_one`).  It is 1000 times finer than the
+1e-9 agreement that the LP route, the tests and the benchmark hold the
+projective norm to, so the shortcut's error never shows against them."""
 
 
 class BudgetError(ValueError):
@@ -549,9 +555,14 @@ class PiSolver:
     certificate feasible for every sign constraint and optimal over the
     full polytope.
 
-    Each matrix is solved on its :func:`normal_form`.  A block with one
-    row or one column is a vector in a sup-norm space: its value is its
-    largest entry, with the matching signed unit form as certificate.
+    Each matrix is solved on its :func:`normal_form`.  The projective
+    norm is a cross norm, ``pi(x (x) y) = |x|_inf |y|_inf``, the largest
+    entry of ``x y^T``: a block of rank one, a line among them, is its
+    largest entry p, with the signed unit form at p as certificate
+    (bound 1) and no LP.  :func:`_rank_one` decides it from the bracket
+    ``|p| <= pi(W) <= |p| + ||R||_1`` on the cross residual R, taking
+    the shortcut only where ``||R||_1 <= RANK_ONE_TOL |p|``, a bound
+    1000 times finer than the 1e-9 that the LP route is held to.
     The other blocks, rows (the smaller side) enumerated, are solved
     together: the epigraph LPs of all of them as one LP, and any block
     past the epigraph budget by cutting planes.  The value is the
@@ -603,24 +614,25 @@ class PiSolver:
             B = np.zeros(U.shape)
             B[0, 0] = 1.0
             return 0.0, _certificate(B)
-        lines = [b for b in blocks if min(b.matrix.shape) == 1]
-        rest = [b for b in blocks if min(b.matrix.shape) > 1]
-        results = [_line_value(b.matrix) for b in lines]
+        rank_one = [_rank_one(b.matrix) for b in blocks]
+        elementary = [b for b, r in zip(blocks, rank_one) if r]
+        rest = [b for b, r in zip(blocks, rank_one) if not r]
+        results = [_line_value(b.matrix) for b in elementary]
         if rest:
             key = _form_key(rest)
             solved = self._forms.get(key)
             if solved is None:
                 solved = self._forms[key] = self._lp([b.matrix for b in rest])
             results += solved
-        blocks = lines + rest
+        blocks = elementary + rest
         best = max(range(len(blocks)), key=lambda i: results[i][0])
         value, B = results[best]
         B = _from_block(B, blocks[best], U.shape)
         # an entry under HiGHS's tolerances can leave the LP value short
         # of the largest entry, whose one-entry form is exact
-        entry, E = _line_value(np.abs(U))
+        entry, E = _line_value(U)
         if entry > value:
-            value, B = entry, np.where(E != 0, np.sign(U), 0.0)
+            value, B = entry, E
         return value, _certificate(B)
 
     def _lp(self, mats: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
@@ -683,13 +695,45 @@ def _form_key(blocks) -> tuple:
     return tuple((b.matrix.shape, b.matrix.tobytes()) for b in blocks)
 
 
+def _rank_one(W: np.ndarray) -> bool:
+    """Whether W is within ``RANK_ONE_TOL`` of rank one, so that its
+    projective norm is its largest entry.
+
+    Let p be the largest entry in absolute value, at (i, j), and R the
+    cross residual ``W - W[:, j] W[i, :] / p``.  Then
+    ``|p| <= pi(W) <= |p| + ||R||_1``: the unit form at (i, j) gives the
+    lower bound; the rank-one part has norm ``|W[:, j] / p|_inf
+    |W[i, :]|_inf = |p|``, since p is the largest entry, and the
+    entrywise l1 norm bounds pi.  R vanishes on row i and column j, so a
+    line is rank one with no work.  The test takes ``||R||_1 <=
+    RANK_ONE_TOL * |p|``: a float screen, with slack for its rounding,
+    turns most blocks away, and the rest is decided in ``Fraction``s,
+    which hold floats exactly, as ``sum |W_kl p - W_kj W_il| <=
+    RANK_ONE_TOL p^2``."""
+    if min(W.shape) == 1:
+        return True
+    i, j = divmod(int(np.abs(W).argmax()), W.shape[1])
+    p, col, row = W[i, j], W[:, j], W[i]
+    if np.abs(W - np.outer(col / p, row)).sum() > 2 * RANK_ONE_TOL * abs(p):
+        return False
+    p = Fraction(p)
+    row = [Fraction(x) for x in row.tolist()]
+    resid = sum(
+        abs(Fraction(w) * p - Fraction(c) * r)
+        for c, line in zip(col.tolist(), W.tolist())
+        for w, r in zip(line, row)
+    )
+    return resid <= Fraction(RANK_ONE_TOL) * p * p
+
+
 def _line_value(W: np.ndarray) -> tuple[float, np.ndarray]:
-    """A one-line block is a vector in a sup-norm space: its value is its
-    largest entry (a normal-form line is positive)."""
-    k = int(W.argmax())
+    """The largest entry of W in absolute value, and its signed unit form
+    as the certificate (bound 1): the value of a rank-one block, and a
+    lower bound for any other."""
+    k = int(np.abs(W).argmax())
     B = np.zeros(W.shape)
-    B.flat[k] = 1.0
-    return float(W.flat[k]), B
+    B.flat[k] = np.sign(W.flat[k])
+    return float(abs(W.flat[k])), B
 
 
 def _from_block(B: np.ndarray, block: Block, shape) -> np.ndarray:

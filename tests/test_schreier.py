@@ -326,6 +326,15 @@ class TestStepwiseAgreement:
         assert _take_block(Conv(1, 0), Source(), 0) == 2
         assert len(reads) < 10
 
+    def test_multi_block_transfinite_frame(self):
+        # S[w + 1] at minimum 2 is two S[w] blocks: the first takes 2046
+        # elements and the second runs to the end of the set; a walker
+        # that dropped a frame's remaining count would stop at 2046
+        seq = tuple(range(2, 6000))
+        assert _block_len(Base(OMEGA + 1), seq, 0) == stepwise_block_len(
+            Base(OMEGA + 1), seq, 0
+        ) == 5998
+
     def test_budget_pulls_exactly_the_budget(self):
         for fam in (Base(2), Conv(1, 1), Base(OMEGA)):
             got, pulled = outcome(decompose, fam, count(3), 2, 40)

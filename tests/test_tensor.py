@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ from oracles import epigraph_reference, two_sided_pi_norm, weak_2_reference
 rng = np.random.default_rng(12345)
 
 
-@pytest.fixture
-def linprog_calls(monkeypatch):
-    """Every ``linprog`` call the tensor layer makes, counted."""
+@contextmanager
+def counting_linprog():
+    """Every ``linprog`` call the tensor layer makes inside the block."""
     calls = []
     real = tensor.linprog
 
@@ -37,8 +38,15 @@ def linprog_calls(monkeypatch):
         calls.append(1)
         return real(*args, **kw)
 
-    monkeypatch.setattr(tensor, "linprog", counting)
-    return calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "linprog", counting)
+        yield calls
+
+
+@pytest.fixture
+def linprog_calls():
+    with counting_linprog() as calls:
+        yield calls
 
 
 # entries from a small lattice make zeros, ties and signed copies common
@@ -46,6 +54,13 @@ entries = st.one_of(
     st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
     st.floats(-1, 1, allow_nan=False),
 )
+# outer-product factors: the lattice with a signed zero, floats no smaller
+# than 2^-10, and tiny entries, which HiGHS would misprice
+factor_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25]),
+    st.floats(2.0**-10, 1),
+    st.floats(1e-12, 3e-8),
+).flatmap(lambda x: st.sampled_from([x, -x]))
 # the same lattice beside floats no smaller than 2^-10: HiGHS's absolute
 # tolerances can misprice an entry near 1e-7, whichever way the LP is written
 coarse_entries = st.one_of(
@@ -81,9 +96,14 @@ TIED_PAIR = (
 )
 
 
+def moved_pairs_of(U):
+    """U and a signed permutation of it."""
+    return st.tuples(st.just(U), signed_permutations(U))
+
+
 def moved_pairs(**shape):
     """A matrix and a signed permutation of it."""
-    return matrices(**shape).flatmap(lambda U: st.tuples(st.just(U), signed_permutations(U)))
+    return matrices(**shape).flatmap(moved_pairs_of)
 
 
 def _blocks(blocks):
@@ -218,14 +238,19 @@ class TestPiNorm:
                 assert abs(pi_norm(a * u)[0] - a * want) <= 1e-9 * a * want
 
     def test_tolerance_loss_falls_back_to_largest_entry(self):
-        # the 2^-23 entry slips under HiGHS's tolerance and the LP value
-        # came back as 0.99999994, below the largest entry
-        u = np.array([[2.0**-23, 0.5], [-1.0, -0.5]])
-        val, cert = pi_norm(u)
-        assert val == 1.0
-        assert cert.bound == 1.0
-        assert pair_dual(u, cert) / cert.bound == val
-        assert abs(pi_norm_decomposition(u)[0] - val) < 1e-9
+        # the 2^-23 entry slipped under HiGHS's tolerance and the LP value
+        # came back as 0.99999994, below the largest entry; the LP now
+        # gives 0.749999985 for the second, whose largest entry is -0.75
+        for u, want in (
+            ([[2.0**-23, 0.5], [-1.0, -0.5]], 1.0),
+            ([[0.5, -0.75], [-3e-8, 0.25]], 0.75),
+        ):
+            u = np.array(u)
+            val, cert = pi_norm(u)
+            assert val == want
+            assert cert.bound == 1.0
+            assert pair_dual(u, cert) / cert.bound == val
+            assert abs(pi_norm_decomposition(u)[0] - val) < 1e-9
 
     def test_certificate_feasibility_rechecked(self):
         # the bound is sign_norm itself, on the smaller side of any shape
@@ -259,16 +284,31 @@ class TestNormalForm:
         assert pair_dual(np.eye(10), cert) / cert.bound == 1
         assert linprog_calls == []
 
-    def test_dense_rank_one_takes_the_cutting_route(self, linprog_calls):
+    def test_dense_rank_one_needs_no_lp(self, linprog_calls):
+        # a 10x10 block past the epigraph budget: any LP would be cutting planes
         local = np.random.default_rng(10)
         x, y = local.uniform(-1, 1, 10), local.uniform(-1, 1, 10)
         u = np.outer(x, y)
         (block,) = normal_form(u)
         assert block.matrix.shape == (10, 10)
         assert tensor._build_epigraph(10, 10) is None
-        val, _ = pi_norm(u)
+        val, cert = pi_norm(u)
+        assert val == np.abs(u).max()
         assert abs(val - np.abs(x).max() * np.abs(y).max()) < 1e-9
+        assert cert.bound == 1
+        assert pair_dual(u, cert) == val
+        assert linprog_calls == []
+
+    def test_dense_model_takes_the_cutting_route(self, linprog_calls):
+        u = np.random.default_rng(1002).uniform(-1, 1, (10, 10))
+        (block,) = normal_form(u)
+        assert block.matrix.shape == (10, 10)
+        assert tensor._build_epigraph(10, 10) is None
+        val, cert = pi_norm(u)
         assert linprog_calls
+        assert val > np.abs(u).max()
+        assert sign_norm(cert.matrix) <= 1 + 1e-9
+        assert abs(pair_dual(u, cert) / cert.bound - val) < 1e-9
 
     def test_signed_copies_need_no_lp(self, linprog_calls):
         # every row is a signed copy of the first: one line is left
@@ -376,6 +416,51 @@ class TestNormalForm:
         assert val == np.abs(u).max()
         assert abs(pi_norm_decomposition(u)[0] - val) < 1e-6
         assert pair_dual(u, cert) / cert.bound == val
+
+
+class TestRankOne:
+    """A block within ``RANK_ONE_TOL`` of rank one is its largest entry,
+    with no LP; any other block goes to the LP."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.tuples(
+            st.lists(factor_entries, min_size=1, max_size=7),
+            st.lists(factor_entries, min_size=1, max_size=7),
+        ).flatmap(lambda xy: moved_pairs_of(np.outer(*xy)))
+    )
+    @example(
+        (
+            np.outer([1.0, -0.0, 1e-12], [-0.0, 3e-8, -0.5]),
+            np.outer([-0.5, 3e-8, 0.0], [1e-12, -0.0, -1.0]),
+        )
+    )
+    def test_outer_product_is_its_largest_entry(self, pair):
+        U, V = pair
+        with counting_linprog() as calls:
+            val, cert = pi_norm(U)
+            moved = [pi_norm(W)[0] for W in (V, V.T)]
+        assert calls == []
+        assert val == np.abs(U).max()
+        assert moved == [val, val]
+        assert cert.bound == 1
+        assert pair_dual(U, cert) == val
+
+    @pytest.mark.parametrize(
+        "share, lp", [(1e-6, True), (1.5e-12, True), (5e-13, False), (1e-14, False)]
+    )
+    def test_perturbed_entry_decides_the_route(self, share, lp, linprog_calls):
+        # the largest entry, -1, sits at (0, 1); the entry moved by
+        # share * |p| is off its row and column.  1.5e-12 passes the float
+        # screen and is refused in exact arithmetic
+        u = np.outer([1.0, 0.5, -0.25, 0.75], [0.5, -1.0, 0.3, 0.8, -0.6])
+        u[2, 3] += share
+        val, cert = pi_norm(u)
+        assert bool(linprog_calls) == lp
+        assert abs(val - two_sided_pi_norm(u)) < 1e-9
+        assert abs(pair_dual(u, cert) / cert.bound - val) < 1e-9
+        if not lp:
+            assert val == 1.0 and cert.bound == 1
 
 
 class TestPiSolver:
@@ -499,11 +584,10 @@ class TestWeakNorms:
         assert linprog_calls == []
 
     @pytest.mark.parametrize("k, r, c", [(4, 2, 3), (3, 3, 3), (5, 2, 2)])
-    def test_weak1_disjoint_rank_one_solves_each_block_once(
+    def test_weak1_disjoint_rank_one_needs_no_lp(
         self, k, r, c, linprog_calls
     ):
-        # every signed sum has the same blocks up to sign, so at most one LP
-        # per member (in fact one for the whole family)
+        # every signed sum splits into rank-one blocks
         local = np.random.default_rng(k * 100 + r * 10 + c)
         us, best = [], 0.0
         for i in range(k):
@@ -513,7 +597,7 @@ class TestWeakNorms:
             us.append(u)
             best = max(best, np.abs(x).max() * np.abs(y).max())
         assert abs(weak_1_norm_pi(us) - best) < 1e-9
-        assert 0 < len(linprog_calls) <= k
+        assert linprog_calls == []
 
     def test_empty_family_is_refused(self):
         for weak in (weak_1_norm_pi, weak_2_norm_pi_lower):
