@@ -727,9 +727,10 @@ def _rank_one(W: np.ndarray) -> bool:
 
 
 def _line_value(W: np.ndarray) -> tuple[float, np.ndarray]:
-    """The largest entry of W in absolute value, and its signed unit form
-    as the certificate (bound 1): the value of a rank-one block, and a
-    lower bound for any other."""
+    """The largest entry p of W in absolute value, and its signed unit
+    form as the certificate (bound 1): a lower bound for any block, and
+    the value of a block that :func:`_rank_one` accepts, whose projective
+    norm lies in ``[|p|, (1 + RANK_ONE_TOL) |p|]``."""
     k = int(np.abs(W).argmax())
     B = np.zeros(W.shape)
     B.flat[k] = np.sign(W.flat[k])
