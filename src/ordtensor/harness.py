@@ -21,7 +21,7 @@ import math
 import operator
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import chain, count
 from typing import Iterable, Iterator
@@ -150,7 +150,6 @@ def reports_to_csv(reports: list[Report]) -> str:
 
 @dataclass
 class ScenarioConfig:
-    scenario: str = "all"
     xi: str = "0"
     zeta: str = "0"
     stream: str = "3"
@@ -610,7 +609,12 @@ def run_blocking_demo(cfg: ScenarioConfig) -> Report:
     into a column-disjoint and a row-disjoint half, with one-sided
     weak-2 bounds against the Grothendieck constant.
     """
-    eps = Fraction(cfg.eps)
+    try:
+        eps = Fraction(cfg.eps)
+    except ZeroDivisionError:
+        raise ValueError(f"eps {cfg.eps!r} has a zero denominator") from None
+    if eps < 0:
+        raise ValueError(f"eps must be non-negative, got {eps}")
     rep = Report(
         "blocking",
         {"xi": cfg.xi, "stream": cfg.stream, "eps": str(eps), "seed": cfg.seed},
@@ -822,12 +826,8 @@ def run_lower_bound_probe(cfg: ScenarioConfig) -> Report:
         # the i-th block functional reads the i-th marker column, which
         # carries a_i f_i, and pairs the measure against the function
         pairing = RadicalSum()
-        for k in range(m):
-            for i in range(m):
-                bio = mus[k].pair(funcs[i])
-                coord = 1 if k == i else 0
-                if coord:
-                    pairing.add(a[k] * a[i], bio * sum(bs[i], Fraction(0)))
+        for i in range(m):
+            pairing.add(a[i] * a[i], mus[i].pair(funcs[i]) * sum(bs[i], Fraction(0)))
         U = np.zeros((len(atoms), n + m))
         j0 = 0
         for i in range(m):
@@ -857,20 +857,15 @@ def run_all(cfg: ScenarioConfig) -> list[Report]:
     reports = [run_family_suite(cfg)]
     for xi in ("0", "1", "2", "3", "w", "w + 1"):
         for start in (2, 3, 4, 5, 6):
-            c = ScenarioConfig(**{**asdict(cfg), "xi": xi, "zeta": "0",
-                                  "stream": str(start)})
-            reports.append(run_perm_suite(c))
+            reports.append(run_perm_suite(replace(cfg, xi=xi, zeta="0", stream=str(start))))
     for xi in ("0", "1", "2"):
         for zeta in ("0", "1", "2"):
             for start in (2, 3, 4, 5, 6):
-                c = ScenarioConfig(**{**asdict(cfg), "xi": xi, "zeta": zeta,
-                                      "stream": str(start)})
-                reports.append(run_perm_suite(c))
+                reports.append(run_perm_suite(replace(cfg, xi=xi, zeta=zeta, stream=str(start))))
     for xi, zeta, stream in [("0", "0", "3"), ("1", "0", "3"), ("1", "1", "1"),
                              ("1", "1", "2")]:
-        c = ScenarioConfig(**{**asdict(cfg), "xi": xi, "zeta": zeta, "stream": stream})
-        reports.append(run_sharpness(c))
-    reports.append(run_blocking_demo(ScenarioConfig(**{**asdict(cfg), "xi": "1"})))
+        reports.append(run_sharpness(replace(cfg, xi=xi, zeta=zeta, stream=stream)))
+    reports.append(run_blocking_demo(replace(cfg, xi="1")))
     reports.append(run_groth_probe(cfg))
     reports.append(run_lower_bound_probe(cfg))
     return reports
@@ -984,9 +979,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run_command(args)
-    except (ValueError, BudgetExceeded, StreamExhausted) as e:
-        # bad input (or an input past a budget): one line, exit code 2,
-        # so that exit code 1 keeps meaning "a check failed"
+    except (ValueError, NotImplementedError, BudgetExceeded, StreamExhausted) as e:
+        # bad input (unsupported parameters, or an input past a budget):
+        # one line, exit code 2, so that exit code 1 keeps meaning "a
+        # check failed"
         print(f"ordtensor: error: {e}", file=sys.stderr)
         return 2
 
@@ -1016,10 +1012,7 @@ def _run_command(args) -> int:
             E = as_finite_set(int(x) for x in args.set.split(","))
             print(q_weight(parse_ordinal(args.xi), parse_ordinal(args.zeta), E))
             return 0
-        cfg = ScenarioConfig(scenario="perm", xi=args.xi, zeta=args.zeta,
-                             stream=args.stream, blocks=args.blocks,
-                             block_budget=args.block_budget, out=args.out,
-                             fmt=args.fmt)
+        cfg = _cfg_from(args)
         return _emit([run_perm_suite(cfg)], cfg)
 
     if args.command == "tree":
@@ -1054,7 +1047,7 @@ def _run_command(args) -> int:
 
     if args.command == "tensor":
         if args.action in ("pi", "eps"):
-            U = np.array(json.loads(args.matrix), dtype=float)
+            U = json.loads(args.matrix)
             if args.action == "eps":
                 print(f"{eps_norm(U):.12f}")
             else:
@@ -1065,7 +1058,7 @@ def _run_command(args) -> int:
                     "certificate_bound": cert.bound,
                 }, indent=2))
             return 0
-        mats = [np.array(mm, dtype=float) for mm in json.loads(args.matrices)]
+        mats = json.loads(args.matrices)
         if args.p == 1:
             print(f"{weak_1_norm_pi(mats):.12f}")
         else:
@@ -1073,7 +1066,6 @@ def _run_command(args) -> int:
         return 0
 
     cfg = _cfg_from(args)
-    cfg.scenario = args.action
     runners = {
         "sharpness": lambda: [run_sharpness(cfg)],
         "blocking": lambda: [run_blocking_demo(cfg)],

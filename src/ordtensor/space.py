@@ -5,11 +5,13 @@ intervals ``(a, b]`` inside ``[0, top]``, zero elsewhere.  Ordinal
 intervals of this form are clopen, so every such function is continuous,
 and all the norm and support computations reduce to exact interval
 arithmetic.  The dual side is modelled by finitely supported atomic
-measures with exact rational weights.
+measures with exact rational weights, and the weak norms are computed
+exactly: the weak-1 norm of functions by point evaluation, the weak-2
+norm of measures by sign enumeration.
 
 Cantor schemes (dyadically nested, disjoint families of sets indexed by
 sign sequences) and their Rademacher measures live here too; a scheme's
-cells are either ordinal-interval unions or finite point sets.
+cells are ordinal-interval unions.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ __all__ = [
     "CantorScheme",
     "indicator",
     "disjoint",
-    "weak_p_norm",
     "weak_1_norm_exact",
     "rademacher",
     "default_selector",
     "weak2_norm_squared_exact",
-    "weak2_norm_sampled",
     "compatible",
 ]
 
@@ -219,30 +219,18 @@ class StepFunction:
         return normalize_union(iv for iv, v in self.pieces if v == value)
 
     def restrict(self, beta) -> "StepFunction":
-        """Truncate the domain to ``[0, beta]``."""
-        beta = as_ordinal(beta)
-        if beta > self.top:
-            raise ValueError("restriction endpoint exceeds the domain")
-        window = Iv(None, beta)
-        pieces = []
-        for iv, v in self.pieces:
-            cut = iv.intersect(window)
-            if cut is not None:
-                pieces.append((cut, v))
-        return StepFunction(beta, pieces)
+        """Truncate the domain to ``[0, beta]``: the projection, on the
+        smaller domain."""
+        return StepFunction(beta, self.project(beta).pieces)
 
     def project(self, beta) -> "StepFunction":
         """Zero the values above ``beta``, keeping the domain."""
         beta = as_ordinal(beta)
         if beta > self.top:
-            raise ValueError("projection endpoint exceeds the domain")
+            raise ValueError(f"endpoint {beta} exceeds the domain top {self.top}")
         window = Iv(None, beta)
-        pieces = []
-        for iv, v in self.pieces:
-            cut = iv.intersect(window)
-            if cut is not None:
-                pieces.append((cut, v))
-        return StepFunction(self.top, pieces)
+        cuts = ((iv.intersect(window), v) for iv, v in self.pieces)
+        return StepFunction(self.top, ((iv, v) for iv, v in cuts if iv is not None))
 
     # linear structure --------------------------------------------------
 
@@ -326,21 +314,12 @@ def _candidate_points(fs: Sequence[StepFunction]) -> list[Ordinal]:
     return sorted(pts)
 
 
-def weak_p_norm(fs: Sequence[StepFunction], p: float) -> float:
-    """Weakly p-summing norm: the dual-ball supremum reduces to points.
+def weak_1_norm_exact(fs: Sequence[StepFunction]) -> Fraction:
+    """Exact weakly 1-summing norm (values must be dyadic floats).
 
     Extreme functionals of the dual ball are signed point evaluations,
-    so the norm is the max over points of the coordinate-wise l_p sum.
+    so the norm is the max over points of the coordinate-wise l_1 sum.
     """
-    best = 0.0
-    for pt in _candidate_points(fs):
-        s = sum(abs(f(pt)) ** p for f in fs) ** (1.0 / p)
-        best = max(best, s)
-    return best
-
-
-def weak_1_norm_exact(fs: Sequence[StepFunction]) -> Fraction:
-    """Exact weakly 1-summing norm (values must be dyadic floats)."""
     best = Fraction(0)
     for pt in _candidate_points(fs):
         s = sum(abs(Fraction(f(pt))) for f in fs)
@@ -363,13 +342,6 @@ class AtomicMeasure:
             raise ValueError("atom points must be distinct")
         object.__setattr__(self, "atoms", atoms)
 
-    @staticmethod
-    def dirac(pt) -> "AtomicMeasure":
-        return AtomicMeasure(((pt, Fraction(1)),))
-
-    def total_variation(self) -> Fraction:
-        return sum((abs(w) for _, w in self.atoms), Fraction(0))
-
     def pair(self, f: StepFunction) -> Fraction:
         """Exact pairing; function values must be dyadic floats."""
         return sum((w * Fraction(f(pt)) for pt, w in self.atoms), Fraction(0))
@@ -383,36 +355,6 @@ class AtomicMeasure:
 Sign = tuple[int, ...]
 
 
-def _cell_is_interval(cell) -> bool:
-    return bool(cell) and isinstance(cell[0], Iv)
-
-
-def cell_is_empty(cell) -> bool:
-    if not cell:
-        return True
-    if _cell_is_interval(cell):
-        return union_is_empty(cell)
-    return False
-
-
-def cell_subset(small, big) -> bool:
-    if _cell_is_interval(big):
-        return union_contains(big, small)
-    return set(small) <= set(big)
-
-
-def cell_disjoint(a, b) -> bool:
-    if _cell_is_interval(a):
-        return union_is_empty(union_intersect(a, b))
-    return not (set(a) & set(b))
-
-
-def cell_least(cell):
-    if _cell_is_interval(cell):
-        return normalize_union(cell)[0].least()
-    return min(cell)
-
-
 @dataclass(frozen=True)
 class CantorScheme:
     """Nested disjoint cells indexed by sign sequences of length <= depth.
@@ -423,7 +365,7 @@ class CantorScheme:
     """
 
     depth: int
-    cells: Mapping[Sign, tuple]
+    cells: Mapping[Sign, tuple[Iv, ...]]
 
     def __post_init__(self):
         cells = dict(self.cells)
@@ -431,14 +373,14 @@ class CantorScheme:
             for d in product((-1, 1), repeat=k):
                 if d not in cells:
                     raise ValueError(f"missing cell {d}")
-                if cell_is_empty(cells[d]):
+                if union_is_empty(cells[d]):
                     raise ValueError(f"cell {d} is empty")
         for k in range(self.depth):
             for d in product((-1, 1), repeat=k):
                 minus, plus = cells[d + (-1,)], cells[d + (1,)]
-                if not (cell_subset(minus, cells[d]) and cell_subset(plus, cells[d])):
+                if not (union_contains(cells[d], minus) and union_contains(cells[d], plus)):
                     raise ValueError(f"children of {d} not nested")
-                if not cell_disjoint(minus, plus):
+                if not union_is_empty(union_intersect(minus, plus)):
                     raise ValueError(f"children of {d} overlap")
         object.__setattr__(self, "cells", cells)
 
@@ -449,16 +391,13 @@ class CantorScheme:
         out = {}
         for d, cell in sorted(self.cells.items(), key=lambda kv: (len(kv[0]), kv[0])):
             key = "".join("+" if e == 1 else "-" for e in d) or "()"
-            if _cell_is_interval(cell):
-                out[key] = [str(iv) for iv in cell]
-            else:
-                out[key] = [str(p) for p in cell]
+            out[key] = [str(iv) for iv in cell]
         return out
 
 
-def default_selector(scheme: CantorScheme) -> dict[Sign, object]:
+def default_selector(scheme: CantorScheme) -> dict[Sign, Ordinal]:
     """Pick the least point of every leaf cell."""
-    return {d: cell_least(scheme.cells[d]) for d in scheme.leaves()}
+    return {d: normalize_union(scheme.cells[d])[0].least() for d in scheme.leaves()}
 
 
 def rademacher(
@@ -472,12 +411,7 @@ def rademacher(
     m = scheme.depth
     for d in scheme.leaves():
         pt = selector[d]
-        cell = scheme.cells[d]
-        if _cell_is_interval(cell):
-            ok = any(iv.contains(pt) for iv in cell)
-        else:
-            ok = pt in cell
-        if not ok:
+        if not any(iv.contains(pt) for iv in scheme.cells[d]):
             raise ValueError(f"selector point {pt} is outside its cell {d}")
     denom = 2**m
     out = []
@@ -512,27 +446,6 @@ def weak2_norm_squared_exact(measures: Sequence[AtomicMeasure]) -> Fraction:
     return best
 
 
-def weak2_norm_sampled(
-    measures: Sequence[AtomicMeasure], samples: int, seed: int
-) -> float:
-    """Sampled lower bound for the weakly 2-summing norm."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    points = sorted({pt for mu in measures for pt, _ in mu.atoms}, key=str)
-    rows = np.array(
-        [
-            [float(dict(mu.atoms).get(pt, 0)) for pt in points]
-            for mu in measures
-        ]
-    )
-    best = 0.0
-    for _ in range(samples):
-        x = rng.choice([-1.0, 1.0], size=len(points))
-        best = max(best, float(np.sqrt(((rows @ x) ** 2).sum())))
-    return best
-
-
 def compatible(funcs: Sequence[StepFunction], scheme: CantorScheme) -> bool:
     """Whether ``funcs[i-1]`` is identically ``eps`` on every cell ``d^(eps)``
     with ``|d| = i-1``; checked exactly on the interval representations."""
@@ -544,12 +457,6 @@ def compatible(funcs: Sequence[StepFunction], scheme: CantorScheme) -> bool:
     ]
     for d, cell in scheme.cells.items():
         if not d:
-            continue
-        f = funcs[len(d) - 1]
-        value = float(d[-1])
-        if not _cell_is_interval(cell):
-            if any(f(pt) != value for pt in cell):
-                return False
             continue
         pre = preimages[len(d) - 1][d[-1]]
         if not all(pre.covers(iv) for iv in normalize_union(cell)):

@@ -31,7 +31,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "weak_p_norm_vec",
     "weak_1_norm_pi",
     "weak_2_norm_pi_lower",
-    "canonical_model",
     "normal_form",
     "Block",
 ]
@@ -66,7 +64,10 @@ class BudgetError(ValueError):
 
 
 def _as_array(u) -> np.ndarray:
-    arr = np.asarray(u, dtype=float)
+    try:
+        arr = np.asarray(u, dtype=float)
+    except TypeError as e:  # not an array of numbers, such as a dict
+        raise ValueError(f"expected a matrix of numbers: {e}") from None
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("expected a non-empty 2-d matrix")
     if not np.isfinite(arr).all():
@@ -336,7 +337,7 @@ def _orbit_meets(v: int, targets: list, side: int, fixed: list, maps: list) -> b
 
 def _normalize(W: np.ndarray, A: np.ndarray):
     """Signs and order for a connected block W (A is ``|W|``) with no
-    zero line.
+    zero line and no more rows than columns.
 
     The lines are first put in the order of :func:`_line_order`.  The
     row holding the largest entry is the root, ties going to the first
@@ -347,12 +348,9 @@ def _normalize(W: np.ndarray, A: np.ndarray):
     only the entries, so a signed permutation of W gives the same
     matrix."""
     m, n = W.shape
-    if m == 1 or n == 1:  # a line: make it positive and sort it
-        S = np.sign(W)
-        order = np.argsort(A.reshape(-1), kind="stable")
-        if m == 1:
-            return A[:, order], np.zeros(1, np.intp), order, np.ones(1), S[0, order]
-        return A[order], order, np.zeros(1, np.intp), S[order, 0], np.ones(1)
+    if m == 1:  # a row: make it positive and sort it
+        order = np.argsort(A[0], kind="stable")
+        return A[:, order], np.zeros(1, np.intp), order, np.ones(1), np.sign(W[0, order])
     p, q = _line_order(W, A)
     W, A = W[p][:, q], A[p][:, q]
     S = np.sign(W)
@@ -582,15 +580,13 @@ class PiSolver:
     returns its first answer, the same objects, and a matrix with the
     LP blocks of one it has solved, such as a signed permutation or a
     transpose of it, costs no new LP (HiGHS is deterministic, so that
-    is what a new LP would give).  Cutting planes found for a block
-    shape are kept for the solver's later matrices.
+    is what a new LP would give).
     """
 
     def __init__(self):
         self._solved: dict[tuple, tuple[float, DualCertificate]] = {}
         self._forms: dict[tuple, list[tuple[float, np.ndarray]]] = {}
         self._epigraphs: dict[tuple[int, int], tuple | None] = {}
-        self._cuts: dict[tuple[int, int], tuple[list, set]] = {}
 
     def _epigraph_of(self, m: int, n: int):
         if (m, n) not in self._epigraphs:
@@ -649,7 +645,7 @@ class PiSolver:
     def _solve_cutting(self, U: np.ndarray) -> tuple[float, np.ndarray]:
         m, n = U.shape
         E = _signs(m, fix_first=True)
-        rows, seen = self._cuts.setdefault((m, n), ([], set()))
+        rows, seen = [], set()
 
         def add_cut(cut: np.ndarray) -> bool:
             key = cut.tobytes()
@@ -660,10 +656,9 @@ class PiSolver:
             return True
 
         cost = -U.reshape(-1) / _scale(U)
-        if not rows:
-            for e in E:
-                row = e @ U
-                add_cut(np.outer(e, np.sign(row) + (row == 0)))
+        for e in E:
+            row = e @ U
+            add_cut(np.outer(e, np.sign(row) + (row == 0)))
         for _ in range(300):
             ones = np.ones(len(rows))
             res = linprog(cost, np.vstack(rows), -ones, ones, np.array([[-1.0, 1.0]]))
@@ -806,7 +801,10 @@ def weak_p_norm_vec(xs: Sequence, p: float) -> float:
 
 def _stack(us: Sequence) -> np.ndarray:
     """The matrices of a family stacked."""
-    mats = [_as_array(u) for u in us]
+    try:
+        mats = [_as_array(u) for u in us]
+    except TypeError:  # not a sequence, such as a number
+        raise ValueError("expected a family of matrices") from None
     if not mats:
         raise ValueError("a family needs at least one matrix")
     return np.stack(mats)
@@ -873,14 +871,3 @@ def weak_2_norm_pi_lower(
             best = max(best, val)
     return best
 
-
-def canonical_model(u) -> np.ndarray:
-    """The :func:`normal_form` of U as one matrix, its blocks down the
-    diagonal; ``[[0]]`` for the zero matrix.
-
-    Both tensor norms are unchanged, and the model is no larger than U.
-    """
-    blocks = normal_form(u)
-    if not blocks:
-        return np.zeros((1, 1))
-    return block_diag(*(b.matrix for b in blocks))

@@ -36,7 +36,6 @@ __all__ = [
     "build_tree",
     "rank_finite",
     "cantor_scheme",
-    "block_map",
     "block_map_path",
     "BoundsError",
 ]
@@ -394,8 +393,3 @@ def block_map_path(xi, zeta, handle: TreeHandle, E) -> list[Node]:
             )
         path.extend([node] * len(block))
     return path
-
-
-def block_map(xi, zeta, handle: TreeHandle, E) -> Node:
-    """The tree node assigned to E; see :func:`block_map_path`."""
-    return block_map_path(xi, zeta, handle, E)[-1]

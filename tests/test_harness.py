@@ -247,10 +247,18 @@ class TestCliInputErrors:
             ["schreier", "decompose", "--family", "S[1]", "--stream", "3,4"],
             ["tensor", "weakp", "--p", "1", "--matrices", "[]"],
             ["tensor", "weakp", "--p", "2", "--matrices", "[]"],
+            ["tree", "build", "--gamma", "w^2"],
+            ["tree", "phi", "--xi", "0", "--zeta", "2", "--set", "3,4"],
+            ["verify", "blocking", "--eps", "1/0"],
+            ["verify", "blocking", "--eps", "-1"],
+            ["tensor", "pi", "--matrix", '{"a": 1}'],
+            ["tensor", "weakp", "--p", "1", "--matrices", "5"],
         ],
         ids=["family", "set-order", "ragged-matrix", "weights-perm-blocks-0",
              "verify-perm-blocks-0", "budget", "stream-exhausted", "empty-weak-1-family",
-             "empty-weak-2-family"],
+             "empty-weak-2-family", "unsupported-gamma", "unsupported-zeta",
+             "eps-zero-denominator", "eps-negative", "non-numeric-matrix",
+             "scalar-family"],
     )
     def test_exit_code_two(self, argv, capsys):
         assert main(argv) == 2

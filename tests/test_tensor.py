@@ -11,7 +11,6 @@ from ordtensor.tensor import (
     BudgetError,
     DualCertificate,
     PiSolver,
-    canonical_model,
     eps_norm,
     normal_form,
     pair_dual,
@@ -660,13 +659,3 @@ class TestInjectiveWeak2Tensorization:
             lhs = math.sqrt((pairs**2).sum(axis=0).max())
             rhs = weak_p_norm_vec(xs, 2) * np.abs(ys).max()
             assert lhs <= rhs + 1e-12
-
-
-class TestModelHelpers:
-    def test_canonical_model_preserves_norms(self):
-        u = rng.uniform(-1, 1, size=(3, 3))
-        padded = np.vstack([u, u[1], np.zeros(3)])
-        padded = np.hstack([padded, padded[:, :1]])
-        small = canonical_model(padded)
-        assert abs(pi_norm(small)[0] - pi_norm(u)[0]) < 1e-9
-        assert abs(eps_norm(small) - eps_norm(u)) < 1e-12

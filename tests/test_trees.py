@@ -14,7 +14,6 @@ from ordtensor.space import (
 from ordtensor.trees import (
     BoundsError,
     TreeHandle,
-    block_map,
     block_map_path,
     build_tree,
     cantor_scheme,
@@ -181,14 +180,18 @@ class TestCantorScheme:
                         assert mu.pair(f) == (1 if i == j else 0)
 
     def test_rademacher_weak2_sampled_at_depth_four(self):
-        from ordtensor.space import weak2_norm_sampled
-
+        # the 4 x 16 matrix R of the measures' weights has R R^T = I/16,
+        # so |R x|^2 <= |x|^2 / 16 = 1 for every sign vector x: the
+        # weak-2 norm is at most 1, exactly
         h = build_tree(1, max_root=4)
         branch = (F(3), F(2), F(1), F(0))
         scheme = cantor_scheme(h, branch)
         mus = rademacher(scheme, default_selector(scheme))
         assert scheme.depth == 4
-        assert weak2_norm_sampled(mus, samples=64, seed=0) <= 1 + 1e-12
+        rows = [dict(mu.atoms) for mu in mus]
+        assert all(len(r) == 16 and r.keys() == rows[0].keys() for r in rows)
+        gram = [[sum(r[pt] * s[pt] for pt in r) for s in rows] for r in rows]
+        assert gram == [[Fraction(int(i == j), 16) for j in range(4)] for i in range(4)]
 
     def test_requires_maximal(self):
         t1 = build_tree(1, max_root=4)
@@ -205,9 +208,9 @@ class TestCantorScheme:
 class TestBlockMap:
     def test_first_examples(self):
         t1 = build_tree(1, max_root=10)
-        assert block_map(0, 0, t1, (3,)) == (F(2),)
-        assert block_map(0, 0, t1, (3, 4)) == (F(2), F(1))
-        assert block_map(0, 0, t1, (3, 4, 5)) == (F(2), F(1), F(0))
+        assert block_map_path(0, 0, t1, (3,))[-1] == (F(2),)
+        assert block_map_path(0, 0, t1, (3, 4))[-1] == (F(2), F(1))
+        assert block_map_path(0, 0, t1, (3, 4, 5))[-1] == (F(2), F(1), F(0))
 
     def test_constant_on_segments(self):
         t1 = build_tree(1, max_root=12)
@@ -225,7 +228,7 @@ class TestBlockMap:
         images = {}
         for E in subsets(range(1, 9)):
             if E and member(fam, E):
-                images[E] = block_map(0, 0, t1, E)
+                images[E] = block_map_path(0, 0, t1, E)[-1]
         for E, tE in images.items():
             for G, tG in images.items():
                 if len(E) < len(G) and G[: len(E)] == E:
@@ -271,14 +274,14 @@ class TestBlockMap:
     def test_bounds_error(self):
         t1 = build_tree(1, max_root=3)
         with pytest.raises(BoundsError):
-            block_map(0, 0, t1, (9,))
+            block_map_path(0, 0, t1, (9,))
 
     def test_wrong_tree_rank_rejected(self):
         t1 = build_tree(1, max_root=4)
         with pytest.raises(ValueError):
-            block_map(0, 1, t1, (1,))
+            block_map_path(0, 1, t1, (1,))
 
     def test_requires_membership(self):
         t1 = build_tree(1, max_root=6)
         with pytest.raises(ValueError):
-            block_map(0, 0, t1, (2, 3, 4))
+            block_map_path(0, 0, t1, (2, 3, 4))
