@@ -609,6 +609,8 @@ def run_blocking_demo(cfg: ScenarioConfig) -> Report:
     into a column-disjoint and a row-disjoint half, with one-sided
     weak-2 bounds against the Grothendieck constant.
     """
+    if cfg.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {cfg.samples}")
     try:
         eps = Fraction(cfg.eps)
     except ZeroDivisionError:
@@ -739,6 +741,8 @@ def run_blocking_demo(cfg: ScenarioConfig) -> Report:
 @_timed
 def run_groth_probe(cfg: ScenarioConfig) -> Report:
     """One-sided weak-2 checks for tensor pairs of bounded families."""
+    if cfg.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {cfg.samples}")
     rep = Report("groth", {"samples": cfg.samples, "seed": cfg.seed})
     rng = np.random.default_rng(cfg.seed)
     H = np.array(
@@ -800,6 +804,8 @@ def run_lower_bound_probe(cfg: ScenarioConfig) -> Report:
     and unit square-sum across blocks, and verifies both the exact
     pairing identity and the LP lower bound.
     """
+    if cfg.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {cfg.samples}")
     rep = Report("lower-bound-probe", {"seed": cfg.seed, "samples": min(cfg.samples, 8)})
     rng = np.random.default_rng(cfg.seed)
     tree = build_tree(1, max_root=4)
@@ -888,18 +894,35 @@ def _emit(reports: list[Report], cfg: ScenarioConfig) -> int:
 # -- CLI ---------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--xi", default="0", help="ordinal literal, e.g. 'w^2*3 + 1'")
-    p.add_argument("--zeta", default="0", help="ordinal literal")
-    p.add_argument("--stream", default="3", help="stream literal, e.g. '3' or '2,5,...'")
-    p.add_argument("--seed", type=int, default=0)
+# the options each verify scenario reads; run_all sets xi and zeta itself
+_VERIFY_OPTIONS = {
+    "sharpness": ("xi", "zeta", "stream", "seed", "max-root", "block-budget"),
+    "blocking": ("xi", "stream", "seed", "block-budget", "samples", "eps"),
+    "groth": ("seed", "samples"),
+    "perm": ("xi", "zeta", "stream", "block-budget", "blocks"),
+    "families": (),
+    "lower": ("seed", "samples"),
+    "all": ("stream", "seed", "max-root", "block-budget", "blocks", "samples", "eps"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, names):
+    """``--out``, ``--format`` and the scenario options ``names``."""
+    specs = {
+        "xi": dict(default="0", help="ordinal literal, e.g. 'w^2*3 + 1'"),
+        "zeta": dict(default="0", help="ordinal literal"),
+        "stream": dict(default="3", help="stream literal, e.g. '3' or '2,5,...'"),
+        "seed": dict(type=int, default=0),
+        "max-root": dict(dest="max_root", type=int, default=10),
+        "block-budget": dict(dest="block_budget", type=int, default=5000),
+        "blocks": dict(type=int, default=3),
+        "samples": dict(type=int, default=24),
+        "eps": dict(default="1/100"),
+    }
     p.add_argument("--out", default=None)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.add_argument("--max-root", dest="max_root", type=int, default=10)
-    p.add_argument("--block-budget", dest="block_budget", type=int, default=5000)
-    p.add_argument("--blocks", type=int, default=3)
-    p.add_argument("--samples", type=int, default=24)
-    p.add_argument("--eps", default="1/100")
+    for name in names:
+        p.add_argument(f"--{name}", **specs[name])
 
 
 def _cfg_from(args) -> ScenarioConfig:
@@ -929,19 +952,12 @@ def main(argv=None) -> int:
 
     p_w = sub.add_parser("weights", help="repeated-averages weights")
     w_sub = p_w.add_subparsers(dest="action", required=True)
-    for action in ("p", "q", "perm"):
+    for action in ("p", "q"):
         sp = w_sub.add_parser(action)
         sp.add_argument("--xi", default="0")
-        if action != "p":
+        if action == "q":
             sp.add_argument("--zeta", default="0")
-        if action == "perm":
-            sp.add_argument("--stream", default="3")
-            sp.add_argument("--blocks", type=int, default=2)
-            sp.add_argument("--block-budget", dest="block_budget", type=int, default=5000)
-            sp.add_argument("--out", default=None)
-            sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        else:
-            sp.add_argument("--set", required=True)
+        sp.add_argument("--set", required=True)
 
     p_t = sub.add_parser("tree", help="tree construction, schemes, block map")
     t_sub = p_t.add_subparsers(dest="action", required=True)
@@ -972,9 +988,8 @@ def main(argv=None) -> int:
 
     p_v = sub.add_parser("verify", help="verification scenarios with reports")
     v_sub = p_v.add_subparsers(dest="action", required=True)
-    for action in ("sharpness", "blocking", "groth", "perm", "families", "lower", "all"):
-        sp = v_sub.add_parser(action)
-        _add_common(sp)
+    for action, names in _VERIFY_OPTIONS.items():
+        _add_common(v_sub.add_parser(action), names)
 
     args = parser.parse_args(argv)
     try:
@@ -1004,16 +1019,12 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "weights":
+        E = as_finite_set(int(x) for x in args.set.split(","))
         if args.action == "p":
-            E = as_finite_set(int(x) for x in args.set.split(","))
             print(p_weight(parse_ordinal(args.xi), E))
-            return 0
-        if args.action == "q":
-            E = as_finite_set(int(x) for x in args.set.split(","))
+        else:
             print(q_weight(parse_ordinal(args.xi), parse_ordinal(args.zeta), E))
-            return 0
-        cfg = _cfg_from(args)
-        return _emit([run_perm_suite(cfg)], cfg)
+        return 0
 
     if args.command == "tree":
         if args.action == "build":

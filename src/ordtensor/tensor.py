@@ -52,6 +52,7 @@ MAX_LP_ENTRIES = 1 << 14
 MAX_EPIGRAPH_VARS = 1 << 12  # prefer the one-shot l1-epigraph LP below this
 MAX_CONSTRAINTS = 1 << 18
 MAX_SIGN_FAMILY = 8
+ASCENT_STEPS = 8  # certificate-gradient steps from each weak-2 start
 RANK_ONE_TOL = 1e-12
 """A block within this share of its largest entry of rank one is that
 entry, with no LP (:func:`_rank_one`).  It is 1000 times finer than the
@@ -834,7 +835,6 @@ def weak_2_norm_pi_lower(
     *,
     samples: int = 64,
     seed: int = 0,
-    ascent_steps: int = 8,
 ) -> float:
     """Seeded lower bound for the weakly 2-summing projective norm.
 
@@ -858,7 +858,7 @@ def weak_2_norm_pi_lower(
     for a in starts:
         val, cert = solver.solve(np.tensordot(a, stack, axes=1))
         best = max(best, val)
-        for _ in range(ascent_steps):
+        for _ in range(ASCENT_STEPS):
             g = np.array([float(np.sum(cert.matrix * m)) for m in mats])
             norm = np.linalg.norm(g)
             if norm == 0:

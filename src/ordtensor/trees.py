@@ -71,14 +71,13 @@ class TreeHandle:
         self.gamma = gamma
         self.max_root = max_root
         self.domain_top = omega_pow(gamma)
-        if gamma == ONE:
-            self._kind = "base"
-        elif gamma.is_finite():
-            self._kind = "successor"
-            self._g0 = gamma.predecessor()
-            self._chain_base = OMEGA.mul_nat(self._g0.to_int())
-            self._scale = omega_pow(self._g0)
-            self._inner = TreeHandle(self._g0, max_root)
+        if gamma.is_finite():
+            # gamma = 1 is the chain alone, with nothing below its bottom
+            self._kind = "chain"
+            g0 = gamma.predecessor()
+            self._chain_base = OMEGA.mul_nat(g0.to_int())
+            self._scale = omega_pow(g0)
+            self._inner = None if g0.is_zero() else TreeHandle(g0, max_root)
         else:
             self._kind = "limit"
             self._subs = {
@@ -90,9 +89,7 @@ class TreeHandle:
     # -- structure ------------------------------------------------------
 
     def roots(self) -> list[Node]:
-        if self._kind == "base":
-            return [(Ordinal.from_int(n - 1),) for n in range(1, self.max_root + 1)]
-        if self._kind == "successor":
+        if self._kind == "chain":
             return [
                 (self._chain_base + Ordinal.from_int(n - 1),)
                 for n in range(1, self.max_root + 1)
@@ -104,81 +101,54 @@ class TreeHandle:
                 out.append(tuple(shift + lbl for lbl in r))
         return out
 
-    def _parse_base(self, t: Node):
-        if not t or not t[0].is_finite():
-            return None
-        n = t[0].to_int() + 1
-        k = len(t)
-        if k > n:
-            return None
-        if t != tuple(Ordinal.from_int(n - i) for i in range(1, k + 1)):
-            return None
-        return n, k
+    def _parse(self, t: Node):
+        """This handle's own reading of t; raises ValueError off the tree.
 
-    def _parse_successor(self, t: Node):
-        if not t or t[0] < self._chain_base:
-            return None
-        try:
-            j = t[0].left_subtract(self._chain_base)
-        except ValueError:
-            return None
-        if not j.is_finite():
-            return None
-        n = j.to_int() + 1
-        chain_len = min(len(t), n)
-        expected = tuple(
-            self._chain_base + Ordinal.from_int(n - i) for i in range(1, chain_len + 1)
-        )
-        if t[:chain_len] != expected:
-            return None
-        if len(t) > n and not self._inner.contains(t[n:]):
-            return None
-        return n, t[n:] if len(t) > n else None
-
-    def _parse_limit(self, t: Node):
-        if not t or t[0].is_zero():
-            return None
-        e = t[0].leading_exponent()
-        if not e.is_finite():
-            return None
-        z = e.to_int()
-        if z >= self.max_root:
-            return None
-        shift = self._shifts[z]
-        try:
-            s = tuple(lbl.left_subtract(shift) for lbl in t)
-        except ValueError:
-            return None
-        if not self._subs[z].contains(s):
-            return None
-        return z, s
+        A chain node reads as its root index n and the suffix below the
+        chain (None inside the chain); a limit node as its summand z and
+        its labels shifted back into that summand.  Only the labels this
+        handle places are checked: the suffix or the shifted node is
+        checked by the handle it belongs to, when a query recurses there.
+        """
+        if self._kind == "chain":
+            if t and t[0] >= self._chain_base:
+                j = t[0].left_subtract(self._chain_base)
+                if j.is_finite():
+                    n = j.to_int() + 1
+                    chain_len = min(len(t), n)
+                    expected = tuple(
+                        self._chain_base + Ordinal.from_int(n - i)
+                        for i in range(1, chain_len + 1)
+                    )
+                    if t[:chain_len] == expected and (len(t) <= n or self._inner is not None):
+                        return n, t[n:] or None
+        elif t and not t[0].is_zero():
+            e = t[0].leading_exponent()
+            if e.is_finite() and e.to_int() < self.max_root:
+                z = e.to_int()
+                shift = self._shifts[z]
+                if all(lbl >= shift for lbl in t):
+                    return z, tuple(lbl.left_subtract(shift) for lbl in t)
+        raise ValueError(f"node {t} is not in the tree")
 
     def contains(self, t: Node) -> bool:
-        if self._kind == "base":
-            return self._parse_base(t) is not None
-        if self._kind == "successor":
-            return self._parse_successor(t) is not None
-        return self._parse_limit(t) is not None
-
-    def _require(self, t: Node):
-        if not self.contains(t):
-            raise ValueError(f"node {t} is not in the tree")
+        try:
+            key, s = self._parse(t)
+        except ValueError:
+            return False
+        if self._kind == "chain":
+            return s is None or self._inner.contains(s)
+        return self._subs[key].contains(s)
 
     def children(self, t: Node) -> list[Node]:
-        self._require(t)
-        if self._kind == "base":
-            n, k = self._parse_base(t)
-            if k < n:
-                return [t + (Ordinal.from_int(n - k - 1),)]
-            return []
-        if self._kind == "successor":
-            n, s = self._parse_successor(t)
+        if self._kind == "chain":
+            n, s = self._parse(t)
             if s is None and len(t) < n:
                 return [t + (self._chain_base + Ordinal.from_int(n - len(t) - 1),)]
             if s is None:
-                return [t + r for r in self._inner.roots()]
-            return [t[: len(t) - len(s)] + c for c in self._inner.children(s)]
-        z, s = self._parse_limit(t)
+                return [] if self._inner is None else [t + r for r in self._inner.roots()]
+            return [t[:n] + c for c in self._inner.children(s)]
+        z, s = self._parse(t)
         shift = self._shifts[z]
         return [
             tuple(shift + lbl for lbl in c) for c in self._subs[z].children(s)
@@ -186,25 +156,22 @@ class TreeHandle:
 
     def is_max(self, t: Node) -> bool:
         """True maximality in the infinite tree (not bound-relative)."""
-        self._require(t)
-        if self._kind == "base":
-            n, k = self._parse_base(t)
-            return k == n
-        if self._kind == "successor":
-            _, s = self._parse_successor(t)
-            return s is not None and self._inner.is_max(s)
-        z, s = self._parse_limit(t)
+        if self._kind == "chain":
+            n, s = self._parse(t)
+            if s is None:
+                return len(t) == n and self._inner is None
+            return self._inner.is_max(s)
+        z, s = self._parse(t)
         return self._subs[z].is_max(s)
 
     def subtree_complete(self, t: Node) -> bool:
         """Whether the subtree below t is finite and fully materialized."""
-        self._require(t)
-        if self._kind == "base":
-            return True
-        if self._kind == "successor":
-            _, s = self._parse_successor(t)
-            return s is not None and self._inner.subtree_complete(s)
-        z, s = self._parse_limit(t)
+        if self._kind == "chain":
+            _, s = self._parse(t)
+            if s is None:
+                return self._inner is None
+            return self._inner.subtree_complete(s)
+        z, s = self._parse(t)
         return self._subs[z].subtree_complete(s)
 
     def residual_rank(self, t: Node) -> Ordinal:
@@ -215,34 +182,18 @@ class TreeHandle:
         rank is ``w*(gamma-1) + (n-k)``; nodes inside an embedded copy
         keep their rank there.
         """
-        self._require(t)
-        if self._kind == "base":
-            n, k = self._parse_base(t)
-            return Ordinal.from_int(n - k)
-        if self._kind == "successor":
-            n, s = self._parse_successor(t)
+        if self._kind == "chain":
+            n, s = self._parse(t)
             if s is None:
                 return self._chain_base + Ordinal.from_int(n - len(t))
             return self._inner.residual_rank(s)
-        z, s = self._parse_limit(t)
+        z, s = self._parse(t)
         return self._subs[z].residual_rank(s)
 
     def node_function(self, t: Node) -> StepFunction:
         """The step function attached to a node; values in {-1, 0, 1}."""
-        self._require(t)
-        if self._kind == "base":
-            n, k = self._parse_base(t)
-            width = 2 ** (n - k)
-            pieces = [
-                (
-                    Iv(Ordinal.from_int(width * i), Ordinal.from_int(width * (i + 1))),
-                    1.0 if i % 2 == 0 else -1.0,
-                )
-                for i in range(2**k)
-            ]
-            return StepFunction(self.domain_top, pieces)
-        if self._kind == "successor":
-            n, s = self._parse_successor(t)
+        if self._kind == "chain":
+            n, s = self._parse(t)
             if s is None:
                 k = len(t)
                 width = 2 ** (n - k)
@@ -264,7 +215,7 @@ class TreeHandle:
                 for iv, v in g.pieces:
                     pieces.append((Iv(delta + iv.lo, delta + iv.hi), v))
             return StepFunction(self.domain_top, pieces)
-        z, s = self._parse_limit(t)
+        z, s = self._parse(t)
         g = self._subs[z].node_function(s)
         return StepFunction(self.domain_top, g.pieces)
 
@@ -329,7 +280,6 @@ def cantor_scheme(handle: TreeHandle, branch: Node) -> CantorScheme:
     nesting, disjointness, and non-emptiness of every cell are validated
     on construction, and compatibility holds by construction.
     """
-    handle._require(branch)
     if not handle.is_max(branch):
         raise ValueError(f"{branch} is not a maximal node")
     funcs = [handle.node_function(p) for p in handle.branch(branch)]

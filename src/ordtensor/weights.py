@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain
@@ -171,21 +171,13 @@ def _family(level: Ordinal, inner: Ordinal | None) -> Family:
     return Base(level) if inner is None else Conv(level, inner)
 
 
-def _descent(level: Ordinal, inner: Ordinal | None, E: tuple[int, ...]) -> int:
-    """Product of the minima along the descent into the last block of E."""
-    r = 1
-    while not level.is_zero():
-        E = _split(_family(level, inner), E)[-1]
-        level, count = level_step(level, E[0])
-        r *= count
-    return r
-
-
 def _prefix_descent(level: Ordinal, inner: Ordinal | None, E: tuple[int, ...]) -> list[int]:
-    """The :func:`_descent` product of every initial segment of E.
+    """The descent product of every initial segment of E.
 
-    Greedy splits of a prefix truncate those of the full set, so all
-    prefixes share one descent, run on an explicit work stack.
+    The product of a set is that of the minima met along the descent
+    into its last block, level by level.  Greedy splits of a prefix
+    truncate those of the full set, so all prefixes share one descent,
+    run on an explicit work stack; the last entry is the product of E.
     """
     out = [1] * len(E)
     stack = [(level, 0, len(E), 1)]
@@ -213,7 +205,7 @@ def p_weight(xi, E) -> Fraction:
 
 @lru_cache(maxsize=1 << 16)
 def _p(xi: Ordinal, E: tuple[int, ...]) -> Fraction:
-    return Fraction(1, _descent(xi, None, E))
+    return Fraction(1, _prefix_descent(xi, None, E)[-1])
 
 
 def q_weight(xi, zeta, E) -> Weight:
@@ -226,7 +218,7 @@ def q_weight(xi, zeta, E) -> Weight:
 
 @lru_cache(maxsize=1 << 16)
 def _q(xi: Ordinal, zeta: Ordinal, E: tuple[int, ...]) -> Weight:
-    return Weight(Fraction(1), _descent(zeta, xi, E))
+    return Weight(Fraction(1), _prefix_descent(zeta, xi, E)[-1])
 
 
 def p_prefix_weights(xi, E) -> list[Fraction]:
@@ -296,12 +288,11 @@ def avg2_terms(xi, zeta, stream, n: int, *, max_elements=None):
     ]
 
 
-def avg2(xi, zeta, stream, u: Mapping, n: int, *, scale=None, max_elements=None):
+def avg2(xi, zeta, stream, u: Mapping, n: int, *, max_elements=None):
     """The n-th square-root re-blocked average of the collection ``u``.
 
     Coefficients ``q*p`` are applied as exact rationals when the
-    radical part is trivial and as floats otherwise; pass ``scale`` to
-    override (it receives the coefficient and the vector).
+    radical part is trivial and as floats otherwise.
     """
     terms = avg2_terms(xi, zeta, stream, n, max_elements=max_elements)
     acc = None
@@ -310,11 +301,8 @@ def avg2(xi, zeta, stream, u: Mapping, n: int, *, scale=None, max_elements=None)
         if v is None:
             continue
         w = q * p
-        if scale is not None:
-            term = scale(w, v)
-        else:
-            c = w.as_rational()
-            term = _default_scale(c if c is not None else float(w), v)
+        c = w.as_rational()
+        term = _default_scale(c if c is not None else float(w), v)
         acc = term if acc is None else acc + term
     return 0 if acc is None else acc
 
@@ -330,7 +318,6 @@ class PermReport:
     perm_q: bool
     convex: bool
     l2_convex: bool
-    details: list = field(default_factory=list)
 
     def all_pass(self) -> bool:
         return self.perm_p and self.perm_q and self.convex and self.l2_convex
@@ -357,7 +344,6 @@ def verify_perm(xi, zeta, blocks) -> PermReport:
         if not member(conv, b) or not is_maximal(conv, b):
             raise ValueError(f"{b} is not a maximal block of the convolution")
     full = tuple(chain.from_iterable(blocks))
-    details: list = []
 
     inner_bounds = []
     pos = 0
@@ -398,7 +384,6 @@ def verify_perm(xi, zeta, blocks) -> PermReport:
     convex = True
     for a, b in zip([0] + inner_bounds, inner_bounds):
         total = p_sum(a, b)
-        details.append(("convex_segment", full[a : min(b, a + 4)], str(total)))
         convex = convex and total == 1
 
     l2_convex = True
@@ -409,7 +394,6 @@ def verify_perm(xi, zeta, blocks) -> PermReport:
         for sa, sb in zip(seg_starts, seg_starts[1:]):
             constant_q = constant_q and rq[sa:sb].count(rq[sa]) == sb - sa
             total += p_sum(sa, sb) ** 2 / rq[sa]
-        details.append(("l2_segment", full[a : min(b, a + 4)], str(total)))
         l2_convex = l2_convex and constant_q and total == 1
 
-    return PermReport(perm_p, perm_q, convex, l2_convex, details)
+    return PermReport(perm_p, perm_q, convex, l2_convex)

@@ -422,7 +422,6 @@ def verify_perm_reference(xi, zeta, blocks) -> PermReport:
         if not member(conv, b) or not is_maximal(conv, b):
             raise ValueError(f"{b} is not a maximal block of the convolution")
     full = tuple(chain.from_iterable(blocks))
-    details: list = []
 
     inner_bounds = []
     pos = 0
@@ -460,7 +459,6 @@ def verify_perm_reference(xi, zeta, blocks) -> PermReport:
     convex = True
     for a, b in zip([0] + inner_bounds, inner_bounds):
         total = sum(p_full[a:b], Fraction(0))
-        details.append(("convex_segment", full[a : min(b, a + 4)], str(total)))
         convex = convex and total == 1
 
     l2_convex = True
@@ -473,10 +471,9 @@ def verify_perm_reference(xi, zeta, blocks) -> PermReport:
             constant_q = constant_q and all(q == qs[0] for q in qs)
             psum = sum(p_full[sa:sb], Fraction(0))
             total += qs[0].square() * psum * psum
-        details.append(("l2_segment", full[a : min(b, a + 4)], str(total)))
         l2_convex = l2_convex and constant_q and total == 1
 
-    return PermReport(perm_p, perm_q, convex, l2_convex, details)
+    return PermReport(perm_p, perm_q, convex, l2_convex)
 
 
 # -- derived-tree node ranks ---------------------------------------------

@@ -240,7 +240,6 @@ class TestCliInputErrors:
             ["schreier", "member", "--family", "S[x]", "--set", "3"],
             ["schreier", "member", "--family", "S[1]", "--set", "3,2"],
             ["tensor", "pi", "--matrix", "[[1,0],[1]]"],
-            ["weights", "perm", "--xi", "1", "--zeta", "1", "--blocks", "0"],
             ["verify", "perm", "--blocks", "0"],
             ["schreier", "decompose", "--family", "S[2]", "--stream", "3",
              "--count", "2", "--block-budget", "50"],
@@ -253,12 +252,14 @@ class TestCliInputErrors:
             ["verify", "blocking", "--eps", "-1"],
             ["tensor", "pi", "--matrix", '{"a": 1}'],
             ["tensor", "weakp", "--p", "1", "--matrices", "5"],
+            ["verify", "lower", "--samples", "0"],
+            ["verify", "groth", "--samples", "-1"],
         ],
-        ids=["family", "set-order", "ragged-matrix", "weights-perm-blocks-0",
-             "verify-perm-blocks-0", "budget", "stream-exhausted", "empty-weak-1-family",
-             "empty-weak-2-family", "unsupported-gamma", "unsupported-zeta",
-             "eps-zero-denominator", "eps-negative", "non-numeric-matrix",
-             "scalar-family"],
+        ids=["family", "set-order", "ragged-matrix", "verify-perm-blocks-0", "budget",
+             "stream-exhausted", "empty-weak-1-family", "empty-weak-2-family",
+             "unsupported-gamma", "unsupported-zeta", "eps-zero-denominator",
+             "eps-negative", "non-numeric-matrix", "scalar-family", "lower-samples-0",
+             "groth-samples-negative"],
     )
     def test_exit_code_two(self, argv, capsys):
         assert main(argv) == 2
@@ -267,6 +268,22 @@ class TestCliInputErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ordtensor: error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "groth", "--xi", "1"],
+            ["verify", "families", "--seed", "1"],
+            ["verify", "all", "--xi", "1"],
+        ],
+        ids=["groth-xi", "families-seed", "all-xi"],
+    )
+    def test_option_the_scenario_does_not_read(self, argv, capsys):
+        # each verify command takes only the options its scenario reads
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_benchmark_checks_catch_corrupted_results():

@@ -145,6 +145,23 @@ class TestLimitTree:
             build_tree(0)
 
 
+class TestNodeChecks:
+    @pytest.mark.parametrize("gamma", [2, 3, W], ids=["2", "3", "w"])
+    def test_corrupt_label_in_embedded_copy_or_summand(self, gamma):
+        # the top handle reads only its own labels; the corrupted last
+        # label lies in an embedded copy or a summand, whose handle
+        # rejects it when the query recurses there
+        h = build_tree(gamma, max_root=3)
+        deep = max(h.max_nodes(), key=len)
+        bad = deep[:-1] + (deep[-1] + F(1),)
+        assert h.contains(deep) and h.contains(deep[:-1])
+        assert not h.contains(bad)
+        for query in (h.children, h.is_max, h.subtree_complete, h.residual_rank,
+                      h.node_function):
+            with pytest.raises(ValueError):
+                query(bad)
+
+
 class TestCantorScheme:
     def test_branch_cells_match_hand_computation(self):
         t1 = build_tree(1, max_root=4)

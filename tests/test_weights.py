@@ -243,7 +243,7 @@ class TestVerifyPerm:
     )
     def test_matches_weight_arithmetic(self, xi, zeta, start, gaps, k):
         # the integer descent products against p as Fractions and q as
-        # Weights: the same report, details included
+        # Weights: the same four verdicts
         head = list(accumulate(gaps, initial=start))
         stream = chain(head, count(head[-1] + 1))
         try:
