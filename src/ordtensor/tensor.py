@@ -16,7 +16,12 @@ finite.  Over these models:
 
 Weakly p-summing norms of vector and matrix families are provided with
 the budgets they admit: exact sign enumeration for the weak-1 norm, and
-seeded sampling plus local ascent for weak-2 lower bounds.
+seeded sampling plus local ascent for weak-2 lower bounds.  The signed
+sums of a weak-1 family share joint epigraph LPs, each filled up to
+``MAX_JOINT_EPIGRAPH_VARS`` epigraph variables, since a joint LP gains
+on small parts and loses on large ones (best of 5 on a 2-vCPU host,
+separate LPs against one joint LP: 32 x 3x3 59 -> 13 ms, 16 x 4x4 41 ->
+16 ms, 8 x 5x5 39 -> 27 ms, 4 x 6x6 51 -> 58 ms, 2 x 8x8 361 -> 494 ms).
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ __all__ = [
 MAX_LP_SIDE = 10  # enumeration side: 2^(side-1) sign vectors
 MAX_LP_ENTRIES = 1 << 14
 MAX_EPIGRAPH_VARS = 1 << 12  # prefer the one-shot l1-epigraph LP below this
+MAX_JOINT_EPIGRAPH_VARS = 1 << 9
+"""The most epigraph variables ``sum P*n`` (:func:`_epigraph_vars`) that
+blocks share in one joint LP (:meth:`PiSolver._lp`); a block past it is
+an LP of its own.  In the crossover table of :class:`PiSolver`, 16 x 4x4
+(512) still gains and 4 x 6x6 (768) already loses."""
 MAX_CONSTRAINTS = 1 << 18
 MAX_SIGN_FAMILY = 8
 ASCENT_STEPS = 8  # certificate-gradient steps from each weak-2 start
@@ -459,10 +469,10 @@ def _build_epigraph(m: int, n: int):
     same as with one absolute-value row per sign.  An exact single LP
     with no constraint generation; the structure is
     objective-independent, so a solver builds it once per shape."""
+    if _epigraph_vars(m, n) > MAX_EPIGRAPH_VARS:
+        return None
     E = _signs(m, fix_first=True)
     P = len(E)
-    if P * n > MAX_EPIGRAPH_VARS:
-        return None
     # Row p*n + j reads (eps_p^T B)_j - a_pj + c_pj = 0, and row P*n + p
     # reads sum_j (a_pj + c_pj) <= 1; columns are B row-major, then the
     # pairs (a_pj, c_pj) in (p, j) order.
@@ -488,6 +498,12 @@ def _build_epigraph(m: int, n: int):
     hi = np.concatenate([np.zeros(Pn), np.ones(P)])
     bounds = np.repeat([[-1.0, 1.0], [0.0, 1.0]], [mn, 2 * Pn], axis=0)
     return A, lo, hi, bounds
+
+
+def _epigraph_vars(m: int, n: int) -> int:
+    """``P*n`` for the ``P = 2^(m-1)`` sign rows of the m x n epigraph LP:
+    its pairs ``(a_pj, c_pj)``, the measure of its size."""
+    return n << (m - 1)
 
 
 def _direct_sum(parts):
@@ -563,8 +579,16 @@ class PiSolver:
     the shortcut only where ``||R||_1 <= RANK_ONE_TOL |p|``, a bound
     1000 times finer than the 1e-9 that the LP route is held to.
     The other blocks, rows (the smaller side) enumerated, are solved
-    together: the epigraph LPs of all of them as one LP, and any block
-    past the epigraph budget by cutting planes.  The value is the
+    together: their epigraph LPs in joint LPs, each the direct sum of
+    the next ones in order up to ``MAX_JOINT_EPIGRAPH_VARS`` epigraph
+    variables (a joint LP gains on small parts and loses on large ones:
+    best of 5 on a 2-vCPU host, separate LPs against one joint LP,
+    32 x 3x3 59 -> 13 ms, 16 x 4x4 41 -> 16 ms, 8 x 5x5 39 -> 27 ms,
+    4 x 6x6 51 -> 58 ms, 2 x 8x8 361 -> 494 ms), and any block past the
+    epigraph budget by cutting planes, one at a time.  :meth:`solve_all` does the same for many matrices
+    at once, each split into its normal form once, so that the blocks
+    of all of them share the joint LPs; the signed sums of a weak-1
+    family go this way.  The value is the
     largest block value, and the certificate is the winning block's
     ``B`` put back on the block's rows and columns with their signs,
     zero elsewhere, its bound recomputed by :func:`sign_norm`.  An LP is
@@ -581,7 +605,7 @@ class PiSolver:
     returns its first answer, the same objects, and a matrix with the
     LP blocks of one it has solved, such as a signed permutation or a
     transpose of it, costs no new LP (HiGHS is deterministic, so that
-    is what a new LP would give).
+    is what a new LP of the same blocks would give).
     """
 
     def __init__(self):
@@ -600,27 +624,49 @@ class PiSolver:
         U = _as_array(U)
         _check_lp_budget(*U.shape)
         key = (U.shape, U.tobytes())
-        result = self._solved.get(key)
-        if result is None:
-            result = self._solved[key] = self._solve(U)
-        return result
+        if key not in self._solved:
+            self._solve_new({key: U})
+        return self._solved[key]
 
-    def _solve(self, U: np.ndarray) -> tuple[float, DualCertificate]:
-        blocks = normal_form(U)
-        if not blocks:  # the zero matrix
+    def solve_all(self, Us) -> list[tuple[float, DualCertificate]]:
+        """``[self.solve(U) for U in Us]``, with the LP blocks of all the
+        matrices not seen before solved together in joint LPs."""
+        mats = [_as_array(U) for U in Us]
+        new = {}
+        for U in mats:
+            _check_lp_budget(*U.shape)
+            key = (U.shape, U.tobytes())
+            if key not in self._solved:
+                new.setdefault(key, U)
+        self._solve_new(new)
+        return [self.solve(U) for U in mats]
+
+    def _solve_new(self, mats: dict[tuple, np.ndarray]):
+        """Solve the matrices ``mats``, by their memo keys, into
+        ``_solved``: each is split into its normal form once, and the LP
+        blocks of every form not in ``_forms`` go to :meth:`_lp` at once."""
+        splits = {key: _rank_one_split(U) for key, U in mats.items()}
+        forms = {}
+        for _, rest in splits.values():
+            form = _form_key(rest)
+            if rest and form not in self._forms:
+                forms[form] = rest
+        solved = iter(self._lp([b.matrix for rest in forms.values() for b in rest]))
+        for form, rest in forms.items():
+            self._forms[form] = [next(solved) for _ in rest]
+        for key, U in mats.items():
+            self._solved[key] = self._assemble(U, *splits[key])
+
+    def _assemble(self, U: np.ndarray, elementary: list, rest: list):
+        """Value and certificate of U from its rank-one blocks and its LP
+        blocks, whose form is in ``_forms``."""
+        if not elementary and not rest:  # the zero matrix
             B = np.zeros(U.shape)
             B[0, 0] = 1.0
             return 0.0, _certificate(B)
-        rank_one = [_rank_one(b.matrix) for b in blocks]
-        elementary = [b for b, r in zip(blocks, rank_one) if r]
-        rest = [b for b, r in zip(blocks, rank_one) if not r]
         results = [_line_value(b.matrix) for b in elementary]
         if rest:
-            key = _form_key(rest)
-            solved = self._forms.get(key)
-            if solved is None:
-                solved = self._forms[key] = self._lp([b.matrix for b in rest])
-            results += solved
+            results += self._forms[_form_key(rest)]
         blocks = elementary + rest
         best = max(range(len(blocks)), key=lambda i: results[i][0])
         value, B = results[best]
@@ -634,13 +680,24 @@ class PiSolver:
 
     def _lp(self, mats: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
         """Value and ``B`` of each model (no more rows than columns): those
-        within the epigraph budget in one LP, the rest by cutting planes."""
+        within the epigraph budget in joint LPs, filled in order, each
+        within ``MAX_JOINT_EPIGRAPH_VARS`` unless one model alone is
+        past it; the rest by cutting planes, one at a time."""
         parts = [self._epigraph_of(*W.shape) for W in mats]
-        joint = [i for i, part in enumerate(parts) if part is not None]
+        chunks, size = [], MAX_JOINT_EPIGRAPH_VARS
+        for i, part in enumerate(parts):
+            if part is None:
+                continue
+            more = _epigraph_vars(*mats[i].shape)
+            if size + more > MAX_JOINT_EPIGRAPH_VARS:
+                chunks.append([])
+                size = 0
+            chunks[-1].append(i)
+            size += more
         solved = {}
-        if joint:
-            found = _solve_epigraphs([mats[i] for i in joint], [parts[i] for i in joint])
-            solved = dict(zip(joint, found))
+        for chunk in chunks:
+            found = _solve_epigraphs([mats[i] for i in chunk], [parts[i] for i in chunk])
+            solved.update(zip(chunk, found))
         return [solved[i] if i in solved else self._solve_cutting(W) for i, W in enumerate(mats)]
 
     def _solve_cutting(self, U: np.ndarray) -> tuple[float, np.ndarray]:
@@ -685,6 +742,16 @@ class PiSolver:
 
 def _certificate(B: np.ndarray) -> DualCertificate:
     return DualCertificate(B, max(sign_norm(B), 1e-300))
+
+
+def _rank_one_split(U: np.ndarray) -> tuple[list[Block], list[Block]]:
+    """The blocks of U's normal form of rank one, and the rest."""
+    blocks = normal_form(U)
+    rank_one = [_rank_one(b.matrix) for b in blocks]
+    return (
+        [b for b, r in zip(blocks, rank_one) if r],
+        [b for b, r in zip(blocks, rank_one) if not r],
+    )
 
 
 def _form_key(blocks) -> tuple:
@@ -815,19 +882,15 @@ def weak_1_norm_pi(us: Sequence) -> float:
     """Exact weakly 1-summing norm of matrices under the projective norm.
 
     Enumerates all sign patterns (the extreme points of the l_inf ball
-    of coefficients) and takes the largest projective norm of the
-    signed sum."""
+    of coefficients, the first sign fixed, since ``pi(-U) = pi(U)``) and
+    takes the largest projective norm of the signed sums, all solved by
+    one :meth:`PiSolver.solve_all`, so that they share joint LPs."""
     stack = _stack(us)
     k = len(stack)
     if k > MAX_SIGN_FAMILY:
         raise BudgetError(f"family of {k} exceeds the sign budget {MAX_SIGN_FAMILY}")
-    solver = PiSolver()
-    best = 0.0
-    for signs in product((-1.0, 1.0), repeat=k - 1):
-        a = np.array((1.0,) + signs)
-        val, _ = solver.solve(np.tensordot(a, stack, axes=1))
-        best = max(best, val)
-    return best
+    sums = np.tensordot(_signs(k, fix_first=True), stack, axes=1)
+    return max(value for value, _ in PiSolver().solve_all(sums))
 
 
 def weak_2_norm_pi_lower(
@@ -843,6 +906,8 @@ def weak_2_norm_pi_lower(
     steps of certificate-gradient ascent from each.  Deterministic for
     a fixed seed; only ever a lower bound.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     stack = _stack(us)
     mats = list(stack)
     k = len(mats)

@@ -10,8 +10,9 @@ unions as point sets, Cantor-scheme cells by whole-union intersection,
 the block map with every prefix split on its own, the spreads of a
 set listed one by one, the projective-norm epigraph matrix built entry
 by entry, the earlier two-sided epigraph LP solved by scipy's
-``linprog``, the weak-2 ascent with a fresh LP for every step, the block
-walk and stream reads one element at a time, the weight identities in
+``linprog``, the weak-1 norm with one LP per sign vector, the weak-2
+ascent with a fresh LP for every step, the block walk and stream reads
+one element at a time, the weight identities in
 Fraction and Weight arithmetic, and derived-tree node ranks by
 iterated removal of maximal nodes.
 """
@@ -263,6 +264,16 @@ def two_sided_pi_norm(u) -> float:
     res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return float(np.sum(res.x[: m * n].reshape(m, n) * U))
+
+
+def weak_1_reference(us) -> float:
+    """The weak-1 projective norm with a fresh ``pi_norm`` for each sign
+    vector, the first sign fixed, so no LP is shared or reused."""
+    stack = np.stack([np.asarray(u, dtype=float) for u in us])
+    best = 0.0
+    for signs in product((-1.0, 1.0), repeat=len(stack) - 1):
+        best = max(best, pi_norm(np.tensordot((1.0,) + signs, stack, axes=1))[0])
+    return best
 
 
 def weak_2_reference(us, *, samples: int = 64, seed: int = 0, ascent_steps: int = 8):

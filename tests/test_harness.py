@@ -230,6 +230,18 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.startswith("scenario,check")
 
+    def test_blocking_past_its_block_budget_skips(self, capsys):
+        # the averages need the stream's first blocks; the staircase does not
+        assert main(["verify", "blocking", "--xi", "1", "--block-budget", "7"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        skipped = [c for c in report["checks"] if c["skipped"]]
+        assert [(c["check_id"], c["detail"]) for c in skipped] == [
+            ("blocking-block-materialization", "block needs more than 7 stream elements")
+        ]
+        assert {c["check_id"] for c in report["checks"]} >= {
+            "disjoint-supports", "staircase-weak-2-half", "staircase-weak-2"
+        }
+
 
 class TestCliInputErrors:
     """Bad input gets one line on stderr and exit code 2, no traceback."""
@@ -254,12 +266,14 @@ class TestCliInputErrors:
             ["tensor", "weakp", "--p", "1", "--matrices", "5"],
             ["verify", "lower", "--samples", "0"],
             ["verify", "groth", "--samples", "-1"],
+            ["tensor", "weakp", "--p", "2", "--samples", "-3",
+             "--matrices", "[[[1,0.5],[0,1]],[[0,1],[1,0]]]"],
         ],
         ids=["family", "set-order", "ragged-matrix", "verify-perm-blocks-0", "budget",
              "stream-exhausted", "empty-weak-1-family", "empty-weak-2-family",
              "unsupported-gamma", "unsupported-zeta", "eps-zero-denominator",
              "eps-negative", "non-numeric-matrix", "scalar-family", "lower-samples-0",
-             "groth-samples-negative"],
+             "groth-samples-negative", "weak-2-samples-negative"],
     )
     def test_exit_code_two(self, argv, capsys):
         assert main(argv) == 2

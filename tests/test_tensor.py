@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from ordtensor import harness, tensor
 from ordtensor.tensor import (
     MAX_EPIGRAPH_VARS,
+    MAX_JOINT_EPIGRAPH_VARS,
     BudgetError,
     DualCertificate,
     PiSolver,
@@ -22,7 +23,7 @@ from ordtensor.tensor import (
     weak_p_norm_vec,
 )
 
-from oracles import epigraph_reference, two_sided_pi_norm, weak_2_reference
+from oracles import epigraph_reference, two_sided_pi_norm, weak_1_reference, weak_2_reference
 
 rng = np.random.default_rng(12345)
 
@@ -543,6 +544,33 @@ class TestPiSolver:
         assert cert.matrix.shape == (20, 2)
         assert abs(pair_dual(U, cert) / cert.bound - value) < 1e-9
 
+    def test_solve_all_takes_one_normal_form_per_distinct_matrix(self, monkeypatch):
+        forms = []
+        real = tensor.normal_form
+
+        def counting(u):
+            forms.append(1)
+            return real(u)
+
+        monkeypatch.setattr(tensor, "normal_form", counting)
+        local = np.random.default_rng(31)
+        u, v, w = (local.uniform(-1, 1, (3, 4)) for _ in range(3))
+        solver = PiSolver()
+        got = solver.solve_all([u, v, u.copy(), -u, v, np.zeros((2, 2))])
+        assert len(forms) == 4  # u, v, -u and the zero matrix
+        assert got[2] is got[0] and got[4] is got[1]
+        assert got[3][0] == got[0][0] and got[5][0] == 0.0
+        for U, (value, cert) in zip([u, v], got):
+            assert abs(value - pi_norm(U)[0]) < 1e-9
+            assert abs(pair_dual(U, cert) / cert.bound - value) < 1e-9
+        forms.clear()
+        assert solver.solve_all([v, w])[0] is got[1]
+        assert len(forms) == 1  # only w is new
+
+    def test_solve_all_checks_each_input_budget(self):
+        with pytest.raises(BudgetError):
+            PiSolver().solve_all([np.eye(2), np.ones((11, 11))])
+
     def test_equal_bytes_of_another_shape_are_another_matrix(self):
         U = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
         V = U.reshape(3, 2)
@@ -597,6 +625,49 @@ class TestWeakNorms:
             best = max(best, np.abs(x).max() * np.abs(y).max())
         assert abs(weak_1_norm_pi(us) - best) < 1e-9
         assert linprog_calls == []
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("model", ["dense", "outer", "disjoint"])
+    def test_weak1_matches_one_lp_per_sign_vector(self, model, k):
+        local = np.random.default_rng(100 * k + len(model))
+        if model == "dense":
+            us = [local.uniform(-1, 1, (3, 3)) for _ in range(k)]
+        elif model == "outer":
+            us = [np.outer(local.uniform(-1, 1, 3), local.uniform(-1, 1, 4)) for _ in range(k)]
+        else:
+            us = []
+            for i in range(k):
+                u = np.zeros((k, 2 * k))
+                u[i, 2 * i : 2 * i + 2] = local.uniform(-1, 1, 2)
+                us.append(u)
+        assert abs(weak_1_norm_pi(us) - weak_1_reference(us)) < 1e-9
+
+    def test_weak1_small_family_is_one_lp(self, linprog_calls):
+        # 32 signed sums of 3x3, 12 epigraph variables each, in one LP
+        local = np.random.default_rng(6)
+        weak_1_norm_pi([local.uniform(-1, 1, (3, 3)) for _ in range(6)])
+        assert len(linprog_calls) == 1
+
+    def test_weak1_joint_lps_stay_within_the_chunk_size(self, monkeypatch):
+        # 8 signed sums of dense 5x5: 16 sign rows x 5 columns = 80
+        # epigraph variables and 96 rows each, 640 in all
+        shapes = []
+        real = tensor.linprog
+
+        def spy(cost, A, *args):
+            shapes.append(A.shape)
+            return real(cost, A, *args)
+
+        monkeypatch.setattr(tensor, "linprog", spy)
+        local = np.random.default_rng(55)
+        us = [local.uniform(-1, 1, (5, 5)) for _ in range(4)]
+        assert 8 * 80 > MAX_JOINT_EPIGRAPH_VARS
+        value = weak_1_norm_pi(us)
+        assert all(rows % 96 == 0 for rows, _ in shapes)
+        parts = [rows // 96 for rows, _ in shapes]
+        assert 1 < len(parts) < 8 and sum(parts) == 8
+        assert all(n * 80 <= MAX_JOINT_EPIGRAPH_VARS for n in parts)
+        assert abs(value - weak_1_reference(us)) < 1e-9
 
     def test_empty_family_is_refused(self):
         for weak in (weak_1_norm_pi, weak_2_norm_pi_lower):
