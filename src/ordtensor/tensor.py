@@ -13,6 +13,11 @@ finite.  Over these models:
   the two give independent routes to the same value.  Every LP is
   written on two-sided rows ``lo <= A x <= hi`` and goes through one
   call site, :func:`linprog`, scipy's ``milp`` with no integer variable.
+  The certificate form runs as one epigraph LP, or as cutting planes
+  with HiGHS presolve off for blocks past ``MAX_EPIGRAPH_VARS`` or with
+  at least ``2*m*n`` sign rows (:func:`_takes_cutting`:
+  8x8 and 9x9 to 9x14, never ``m <= 7``; 8x8 86-128 ms by cutting
+  against 131-165 ms by the epigraph, 7x7 59-119 against 36-44 ms).
 
 Weakly p-summing norms of vector and matrix families are provided with
 the budgets they admit: exact sign enumeration for the weak-1 norm, and
@@ -54,7 +59,12 @@ __all__ = [
 
 MAX_LP_SIDE = 10  # enumeration side: 2^(side-1) sign vectors
 MAX_LP_ENTRIES = 1 << 14
-MAX_EPIGRAPH_VARS = 1 << 12  # prefer the one-shot l1-epigraph LP below this
+MAX_EPIGRAPH_VARS = 1 << 12
+"""The most epigraph variables ``P*n`` of an epigraph LP.  A block past
+it, or with ``P = 2^(m-1) >= 2*m*n`` sign rows, takes cutting planes
+(:func:`_takes_cutting`; 8x8 86-128 ms against 131-165 ms by the
+epigraph), and every block with ``m <= 7`` within it the epigraph LP
+(7x7 36-44 ms against 59-119 ms by cutting)."""
 MAX_JOINT_EPIGRAPH_VARS = 1 << 9
 """The most epigraph variables ``sum P*n`` (:func:`_epigraph_vars`) that
 blocks share in one joint LP (:meth:`PiSolver._lp`); a block past it is
@@ -68,6 +78,19 @@ RANK_ONE_TOL = 1e-12
 entry, with no LP (:func:`_rank_one`).  It is 1000 times finer than the
 1e-9 agreement that the LP route, the tests and the benchmark hold the
 projective norm to, so the shortcut's error never shows against them."""
+
+
+def _takes_cutting(m: int, n: int) -> bool:
+    """Whether :class:`PiSolver` solves an m x n block (m <= n) by cutting
+    planes instead of an epigraph LP: past ``MAX_EPIGRAPH_VARS``, or with
+    at least ``2*m*n`` sign rows ``P = 2^(m-1)``, which takes 8x8 and
+    9x9 to 9x14 and never a block with ``m <= 7`` (best of 2 on a 2-vCPU
+    host, epigraph against cutting, dense draws: 7x7 36-44 against 59-119
+    ms, 7x12 96 against 955, 8x8 131-165 against 86-128, 8x9 178-210
+    against 67-108, 8x10 188-264 against 216-688, 9x9 612-800 against
+    191-397 ms, 9x10 cutting in 2 of 3 draws)."""
+    P = 1 << (m - 1)
+    return P * n > MAX_EPIGRAPH_VARS or P >= 2 * m * n
 
 
 class BudgetError(ValueError):
@@ -437,7 +460,14 @@ def normal_form(u) -> tuple[Block, ...]:
     return tuple(blocks)
 
 
-def linprog(cost: np.ndarray, A, lo: np.ndarray, hi: np.ndarray, bounds: np.ndarray):
+def linprog(
+    cost: np.ndarray,
+    A,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    bounds: np.ndarray,
+    presolve: bool | None = None,
+):
     """Minimize ``cost @ x`` over ``lo <= A x <= hi`` with ``bounds[k]``
     the interval of ``x_k`` (one row for all): the one HiGHS call of the
     tensor layer.
@@ -445,12 +475,15 @@ def linprog(cost: np.ndarray, A, lo: np.ndarray, hi: np.ndarray, bounds: np.ndar
     It calls scipy's ``milp`` with no integer variable, which hands the
     two-sided rows to HiGHS as they are; ``scipy.optimize.linprog``
     takes only one-sided rows and equalities, and spends about 2 ms a
-    call on its input handling before HiGHS starts.  The result has no
-    iteration count."""
+    call on its input handling before HiGHS starts.  ``presolve``, when
+    given, goes to ``milp`` as its one option; otherwise ``milp`` gets
+    no options.  The result has no iteration count."""
+    options = {} if presolve is None else {"options": {"presolve": presolve}}
     res = milp(
         cost,
         constraints=LinearConstraint(A, lo, hi),
         bounds=Bounds(bounds[:, 0], bounds[:, 1]),
+        **options,
     )
     if res.status != 0:
         raise RuntimeError(f"projective-norm LP failed: {res.message}")
@@ -524,15 +557,20 @@ def _direct_sum(parts):
     return (A,) + tuple(np.concatenate([part[k] for part in parts]) for k in (1, 2, 3))
 
 
-def _scale(W: np.ndarray) -> float:
-    """The power of two that brings the largest entry of W into (1/2, 1].
+def _scaled(W: np.ndarray) -> np.ndarray:
+    """W divided by the power of two that brings its largest entry into
+    (1/2, 1].
 
     HiGHS works to absolute tolerances (1e-7 on reduced costs), so a
     model with entries near 1e-8 came back with a wrong, even negative,
     value; the norm is homogeneous, and dividing by a power of two is
-    exact, so each LP objective is scaled by it.  The value is read off
-    as ``<B, W>`` on the unscaled model, one formula for every LP."""
-    return math.ldexp(1.0, math.ceil(math.log2(float(np.abs(W).max()))))
+    exact, so each LP objective is scaled by it.  The exponent comes
+    from ``math.frexp`` and the division is ``np.ldexp``, so a largest
+    entry near the top of the float range, whose power of two is past
+    it, scales too.  The value is read off as ``<B, W>`` on the unscaled
+    model, one formula for every LP."""
+    mantissa, e = math.frexp(float(np.abs(W).max()))
+    return np.ldexp(W, -(e - (mantissa == 0.5)))
 
 
 def _solve_epigraphs(mats: list[np.ndarray], parts) -> list[tuple[float, np.ndarray]]:
@@ -544,7 +582,7 @@ def _solve_epigraphs(mats: list[np.ndarray], parts) -> list[tuple[float, np.ndar
     cost = np.zeros(A.shape[1])
     starts = np.cumsum([0] + [part[0].shape[1] for part in parts])
     for W, s in zip(mats, starts):
-        cost[s : s + W.size] = -W.reshape(-1) / _scale(W)
+        cost[s : s + W.size] = -_scaled(W).reshape(-1)
     res = linprog(cost, A, lo, hi, bounds)
     Bs = [res.x[s : s + W.size].reshape(W.shape) for W, s in zip(mats, starts)]
     return [(float(np.sum(B * W)), B) for W, B in zip(mats, Bs)]
@@ -561,14 +599,20 @@ class PiSolver:
     * an l1-epigraph formulation (for each enumerated sign vector and
       column, one equality row splitting the entry of ``B^T eps`` into
       its positive and negative parts, :func:`_build_epigraph`) solved
-      as a single LP, used whenever it fits the size budget;
+      as a single LP;
     * cutting planes with the exact separation oracle
-      ``delta = sign(B^T eps)``, for long matrices, each cut one
-      two-sided row ``-1 <= <eps (x) delta, B> <= 1``.
+      ``delta = sign(B^T eps)`` (Kelley, J. SIAM 8, 1960), each cut one
+      two-sided row ``-1 <= <eps (x) delta, B> <= 1``, its LPs solved
+      with HiGHS presolve off (best of 5: the 10x10 dense model of the
+      benchmark 388 -> 343 ms, a dense 8x8 55 -> 44 ms).
 
-    Both go to HiGHS through :func:`linprog`, and both produce a
-    certificate feasible for every sign constraint and optimal over the
-    full polytope.
+    The route goes by block shape (:func:`_takes_cutting`): cutting
+    planes past ``MAX_EPIGRAPH_VARS`` or with ``2^(m-1) >= 2*m*n`` sign
+    rows (8x8 86-128 ms against 131-165 ms by the epigraph), the epigraph
+    LP for every other block (7x7 36-44 against 59-119 ms).  Both go to
+    HiGHS through :func:`linprog`, and both produce a certificate
+    feasible for every sign constraint and optimal over the full
+    polytope.
 
     Each matrix is solved on its :func:`normal_form`.  The projective
     norm is a cross norm, ``pi(x (x) y) = |x|_inf |y|_inf``, the largest
@@ -584,8 +628,8 @@ class PiSolver:
     variables (a joint LP gains on small parts and loses on large ones:
     best of 5 on a 2-vCPU host, separate LPs against one joint LP,
     32 x 3x3 59 -> 13 ms, 16 x 4x4 41 -> 16 ms, 8 x 5x5 39 -> 27 ms,
-    4 x 6x6 51 -> 58 ms, 2 x 8x8 361 -> 494 ms), and any block past the
-    epigraph budget by cutting planes, one at a time.  :meth:`solve_all` does the same for many matrices
+    4 x 6x6 51 -> 58 ms, 2 x 8x8 361 -> 494 ms), and the blocks that
+    take cutting planes one at a time.  :meth:`solve_all` does the same for many matrices
     at once, each split into its normal form once, so that the blocks
     of all of them share the joint LPs; the signed sums of a weak-1
     family go this way.  The value is the
@@ -614,8 +658,10 @@ class PiSolver:
         self._epigraphs: dict[tuple[int, int], tuple | None] = {}
 
     def _epigraph_of(self, m: int, n: int):
+        """The epigraph LP of the m x n model, or None where the block
+        takes cutting planes (:func:`_takes_cutting`)."""
         if (m, n) not in self._epigraphs:
-            self._epigraphs[m, n] = _build_epigraph(m, n)
+            self._epigraphs[m, n] = None if _takes_cutting(m, n) else _build_epigraph(m, n)
         return self._epigraphs[m, n]
 
     def solve(self, U: np.ndarray) -> tuple[float, DualCertificate]:
@@ -641,10 +687,14 @@ class PiSolver:
         self._solve_new(new)
         return [self.solve(U) for U in mats]
 
+    @np.errstate(over="ignore")
     def _solve_new(self, mats: dict[tuple, np.ndarray]):
         """Solve the matrices ``mats``, by their memo keys, into
         ``_solved``: each is split into its normal form once, and the LP
-        blocks of every form not in ``_forms`` go to :meth:`_lp` at once."""
+        blocks of every form not in ``_forms`` go to :meth:`_lp` at once.
+        Sums of entries near the top of the float range may overflow on
+        the way, harmlessly; a value past the range raises ``ValueError``
+        in :meth:`_assemble`."""
         splits = {key: _rank_one_split(U) for key, U in mats.items()}
         forms = {}
         for _, rest in splits.values():
@@ -670,6 +720,8 @@ class PiSolver:
         blocks = elementary + rest
         best = max(range(len(blocks)), key=lambda i: results[i][0])
         value, B = results[best]
+        if math.isinf(value):
+            raise ValueError("the projective norm exceeds the float range")
         B = _from_block(B, blocks[best], U.shape)
         # an entry under HiGHS's tolerances can leave the LP value short
         # of the largest entry, whose one-entry form is exact
@@ -680,9 +732,9 @@ class PiSolver:
 
     def _lp(self, mats: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
         """Value and ``B`` of each model (no more rows than columns): those
-        within the epigraph budget in joint LPs, filled in order, each
-        within ``MAX_JOINT_EPIGRAPH_VARS`` unless one model alone is
-        past it; the rest by cutting planes, one at a time."""
+        that :func:`_takes_cutting` turns away by cutting planes, one at a
+        time; the rest in joint epigraph LPs, filled in order, each within
+        ``MAX_JOINT_EPIGRAPH_VARS`` unless one model alone is past it."""
         parts = [self._epigraph_of(*W.shape) for W in mats]
         chunks, size = [], MAX_JOINT_EPIGRAPH_VARS
         for i, part in enumerate(parts):
@@ -713,13 +765,16 @@ class PiSolver:
             rows.append(cut.reshape(-1))
             return True
 
-        cost = -U.reshape(-1) / _scale(U)
+        W = _scaled(U)  # the cut signs of U, with no overflow
+        cost = -W.reshape(-1)
         for e in E:
-            row = e @ U
+            row = e @ W
             add_cut(np.outer(e, np.sign(row) + (row == 0)))
         for _ in range(300):
             ones = np.ones(len(rows))
-            res = linprog(cost, np.vstack(rows), -ones, ones, np.array([[-1.0, 1.0]]))
+            res = linprog(
+                cost, np.vstack(rows), -ones, ones, np.array([[-1.0, 1.0]]), presolve=False
+            )
             B = res.x.reshape(m, n)
             Z = E @ B
             viol = np.abs(Z).sum(axis=1)

@@ -199,6 +199,11 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert abs(out["pi"] - 1.0) < 1e-9
 
+    def test_tensor_pi_near_the_float_range(self, capsys):
+        assert main(["tensor", "pi", "--matrix", "[[1e308,1e302],[1e302,-1e308]]"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert abs(out["pi"] / 1.000001e308 - 1) < 1e-9
+
     def test_tree_phi(self, capsys):
         assert main(["tree", "phi", "--xi", "0", "--zeta", "0", "--set", "3,4"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -268,12 +273,13 @@ class TestCliInputErrors:
             ["verify", "groth", "--samples", "-1"],
             ["tensor", "weakp", "--p", "2", "--samples", "-3",
              "--matrices", "[[[1,0.5],[0,1]],[[0,1],[1,0]]]"],
+            ["tensor", "pi", "--matrix", "[[1e308,1e308],[1e308,-1e308]]"],
         ],
         ids=["family", "set-order", "ragged-matrix", "verify-perm-blocks-0", "budget",
              "stream-exhausted", "empty-weak-1-family", "empty-weak-2-family",
              "unsupported-gamma", "unsupported-zeta", "eps-zero-denominator",
              "eps-negative", "non-numeric-matrix", "scalar-family", "lower-samples-0",
-             "groth-samples-negative", "weak-2-samples-negative"],
+             "groth-samples-negative", "weak-2-samples-negative", "pi-past-float-range"],
     )
     def test_exit_code_two(self, argv, capsys):
         assert main(argv) == 2

@@ -237,6 +237,17 @@ class TestPiNorm:
             for u, want in ((m, 1.5), (m * [[1], [-1]], 1.5), (dense, base)):
                 assert abs(pi_norm(a * u)[0] - a * want) <= 1e-9 * a * want
 
+    def test_entries_near_the_top_of_the_float_range(self):
+        # the power of two above 1e308 is past the float range, and taking
+        # it raised OverflowError; the scaled LP is the same as at 2^-1000
+        u = np.array([[1e308, 1e302], [1e302, -1e308]])
+        val, cert = pi_norm(u)
+        assert val == math.ldexp(pi_norm(u * 2.0**-1000)[0], 1000)
+        assert abs(val / 1.000001e308 - 1) < 1e-9
+        assert abs(pair_dual(u, cert) / cert.bound - val) <= 1e-9 * val
+        with pytest.raises(ValueError, match="float range"):
+            pi_norm([[1e308, 1e308], [1e308, -1e308]])  # 2e308
+
     def test_tolerance_loss_falls_back_to_largest_entry(self):
         # the 2^-23 entry slipped under HiGHS's tolerance and the LP value
         # came back as 0.99999994, below the largest entry; the LP now
@@ -513,19 +524,81 @@ class TestPiSolver:
     def test_value_matches_two_sided_epigraph(self, U):
         assert abs(pi_norm(U)[0] - two_sided_pi_norm(U)) < 1e-9
 
-    @pytest.mark.parametrize("kind, side", [("dense", 7), ("dense", 8), ("rank-one", 8)])
+    @pytest.mark.parametrize(
+        "kind, side",
+        [
+            ("dense", 7),
+            ("dense", 8),
+            ("rank-one", 8),
+            ("dense", 9),
+            pytest.param("dense", (8, 9), id="dense-8x9"),
+        ],
+    )
     def test_cutting_route_matches_epigraph(self, kind, side):
         local = np.random.default_rng(side)
+        m, n = side if isinstance(side, tuple) else (side, side)
         if kind == "dense":
-            U = local.uniform(-1, 1, (side, side))
+            U = local.uniform(-1, 1, (m, n))
         else:
-            U = np.outer(local.uniform(-1, 1, side), local.uniform(-1, 1, side))
+            U = np.outer(local.uniform(-1, 1, m), local.uniform(-1, 1, n))
         (block,) = normal_form(U)
         W = block.matrix
-        [(want, _)] = tensor._solve_epigraphs([W], [tensor._build_epigraph(side, side)])
+        assert W.shape == (m, n)
+        [(want, _)] = tensor._solve_epigraphs([W], [tensor._build_epigraph(m, n)])
         got, B = PiSolver()._solve_cutting(W)
         assert abs(got - want) < 1e-9
         assert sign_norm(B) <= 1 + 1e-9
+
+    def test_route_by_block_shape(self):
+        # the epigraph LP for every shape with m <= 7 within its budget;
+        # cutting planes for 8x8 and 9x9 to 9x14 within it, and past it
+        within = [
+            (m, n)
+            for m in range(1, 11)
+            for n in range(m, MAX_EPIGRAPH_VARS + 1)
+            if 2 ** (m - 1) * n <= MAX_EPIGRAPH_VARS
+        ]
+        assert not any(tensor._takes_cutting(m, n) for m, n in within if m <= 7)
+        assert [s for s in within if tensor._takes_cutting(*s)] == [(8, 8)] + [
+            (9, n) for n in range(9, 15)
+        ]
+        for m in (8, 9, 10):
+            assert tensor._takes_cutting(m, m)
+        assert tensor._takes_cutting(7, 100) and tensor._build_epigraph(7, 100) is None
+
+    def test_dense_8x8_takes_the_cutting_route(self, monkeypatch):
+        shapes = []
+        real = PiSolver._solve_cutting
+
+        def spy(self, W):
+            shapes.append(W.shape)
+            return real(self, W)
+
+        monkeypatch.setattr(PiSolver, "_solve_cutting", spy)
+        U = np.random.default_rng(1000).uniform(-1, 1, (8, 8))
+        value, cert = pi_norm(U)
+        assert shapes == [(8, 8)]
+        assert abs(pair_dual(U, cert) / cert.bound - value) < 1e-9
+        pi_norm(np.random.default_rng(1000).uniform(-1, 1, (7, 7)))
+        assert shapes == [(8, 8)]
+
+    def test_presolve_is_off_on_cutting_lps_only(self, monkeypatch):
+        seen = []
+        real = tensor.milp
+
+        def spy(*args, **kw):
+            seen.append(kw.get("options", "none"))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(tensor, "milp", spy)
+        pi_norm(np.random.default_rng(1000).uniform(-1, 1, (8, 8)))
+        assert len(seen) > 1 and all(o == {"presolve": False} for o in seen)
+        seen.clear()
+        local = np.random.default_rng(7)
+        pi_norm(local.uniform(-1, 1, (4, 5)))
+        weak_1_norm_pi([local.uniform(-1, 1, (3, 3)) for _ in range(3)])
+        pi_norm_decomposition(local.uniform(-1, 1, (3, 3)))
+        assert seen == ["none"] * 3
 
     def test_tall_matrix_enumerates_its_short_side(self, monkeypatch):
         # the certificate bound too: 2^19 sign rows of the long side would
