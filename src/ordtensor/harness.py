@@ -94,6 +94,17 @@ class Check:
     detail: str = ""
 
 
+# the comparisons a check may state, each with a tolerance that widens
+# its bound; "==" with a tolerance reads |value - bound| <= tol
+_OPS = {
+    "==": lambda v, b, tol: abs(v - b) <= tol if tol else v == b,
+    "<=": lambda v, b, tol: v <= b + tol,
+    ">=": lambda v, b, tol: v >= b - tol,
+    "is": lambda v, b, tol: v is b,
+    "is not": lambda v, b, tol: v is not b,
+}
+
+
 @dataclass
 class Report:
     scenario: str
@@ -101,10 +112,25 @@ class Report:
     checks: list[Check] = field(default_factory=list)
     wall_time_s: float = 0.0
 
-    def add(self, *args, **kw) -> Check:
-        c = Check(*args, **kw)
-        self.checks.append(c)
-        return c
+    def holds(self, name: str, check_id: str, relation: str, fact: bool, detail=""):
+        """A yes/no fact, printed as ``True`` or ``False``."""
+        self.compare(name, check_id, relation, fact, "is", True, detail=detail)
+
+    def compare(self, name: str, check_id: str, relation: str, value, op: str, bound,
+                fmt="", *, tol=0, also=None, detail=""):
+        """Judge ``value op bound`` (see ``_OPS``) and each claim ``(value,
+        op, bound)`` of ``also``: the check passes when all hold, and it is
+        exact when no float takes part in them.  ``computed`` is ``value``
+        in the format spec ``fmt``, or, when ``fmt`` has braces, the
+        template ``fmt`` filled with ``value``, ``bound`` and the values of
+        ``also`` by name."""
+        also = also or {}
+        claims = [(value, op, bound, tol)] + [(*c, 0) for c in also.values()]
+        shown = {"value": value, "bound": bound} | {k: c[0] for k, c in also.items()}
+        computed = fmt.format(**shown) if "{" in fmt else format(value, fmt)
+        passed = all(_OPS[o](v, b, t) for v, o, b, t in claims)
+        exact = not any(isinstance(x, (float, np.floating)) for c in claims for x in c)
+        self.checks.append(Check(name, check_id, relation, computed, passed, exact, detail=detail))
 
     def skip(self, name: str, check_id: str, reason: str):
         self.checks.append(
@@ -232,8 +258,7 @@ def run_perm_suite(cfg: ScenarioConfig) -> Report:
             ("convex-block-sum", result.convex, "weights-convex-sum-one"),
             ("l2-block-sum", result.l2_convex, "weights-l2-sum-one"),
         ]:
-            rep.add(label, cid, "== 1 (exact rational)", str(ok), ok, True,
-                    detail=f"block sizes {sizes}")
+            rep.holds(label, cid, "== 1 (exact rational)", ok, detail=f"block sizes {sizes}")
     return rep
 
 
@@ -289,47 +314,37 @@ def run_family_suite(cfg: ScenarioConfig) -> Report:
     ]
     for fam in families:
         members = {E for E in _subsets(ground) if member(fam, E)}
-        hered = _hereditary(members)
-        spread = _spreading(members, 10)
-        rep.add(
+        rep.holds(
             f"hereditary {family_str(fam)}",
             "family-hereditary",
             "all subsets of members are members",
-            str(hered),
-            hered,
-            True,
+            _hereditary(members),
             detail=f"{len(members)} members of [1,10]",
         )
-        rep.add(
+        rep.holds(
             f"spreading {family_str(fam)}",
             "family-spreading",
             "all spreads of members are members",
-            str(spread),
-            spread,
-            True,
+            _spreading(members, 10),
         )
     for xi in (0, 1, 2):
-        agree = all(
-            member(Base(xi + 1), E) == member(Conv(1, xi), E)
-            for E in _subsets(ground)
-        )
-        rep.add(
+        rep.holds(
             f"successor identity xi={xi}",
             "family-successor-convolution",
             "S_(xi+1) == S_1[S_xi] on subsets of [1,10]",
-            str(agree),
-            agree,
-            True,
+            all(
+                member(Base(xi + 1), E) == member(Conv(1, xi), E)
+                for E in _subsets(ground)
+            ),
         )
     for lo, hi in [(1, 2), (2, 3), (1, OMEGA), (3, OMEGA), (OMEGA, OMEGA + 1)]:
-        k = least_shift(lo, hi, bound=10)
-        rep.add(
+        rep.compare(
             f"inclusion shift S[{as_ordinal(lo)}] -> S[{as_ordinal(hi)}]",
             "family-inclusion-shift",
             "least k with [k,10]-members included exists",
-            str(k),
-            k is not None,
-            True,
+            least_shift(lo, hi, bound=10),
+            "is not",
+            None,
         )
     # empirical check of the characteristic-sequence inclusion for the
     # standard fundamental sequences (open question; report only)
@@ -338,18 +353,15 @@ def run_family_suite(cfg: ScenarioConfig) -> Report:
         for n in (1, 2, 3):
             fam_lo = Base(lam.fundamental(n) + ONE)
             fam_hi = Base(lam.fundamental(n + 1))
-            ok = all(
-                member(fam_hi, E)
-                for E in _subsets(range(1, bound + 1))
-                if member(fam_lo, E)
-            )
-            rep.add(
+            rep.holds(
                 f"fundamental inclusion {lam} at n={n}",
                 "fundamental-sequence-inclusion",
                 f"S[{lam.fundamental(n) + ONE}] within [1,{bound}] is inside S[{lam.fundamental(n + 1)}]",
-                str(ok),
-                ok,
-                True,
+                all(
+                    member(fam_hi, E)
+                    for E in _subsets(range(1, bound + 1))
+                    if member(fam_lo, E)
+                ),
             )
     return rep
 
@@ -422,16 +434,13 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
     tree = build_tree(omega_pow(zeta), cfg.max_root)
     path = block_map_path(xi, zeta, tree, E)
     segs = _segments(path)
-    ok_segments = len(segs) == m and all(
-        len(idxs) == len(b) for (_, idxs), b in zip(segs, inner_blocks)
-    )
-    rep.add(
+    rep.holds(
         "block-map segment structure",
         "block-map-constancy",
         "one node per inner block, constant on segments",
-        str(ok_segments),
-        ok_segments,
-        True,
+        len(segs) == m and all(
+            len(idxs) == len(b) for (_, idxs), b in zip(segs, inner_blocks)
+        ),
     )
     nodes = [node for node, _ in segs]
     t_last = nodes[-1]
@@ -446,14 +455,11 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
     selector = default_selector(scheme)
     mus = rademacher(scheme, selector)
     branch_funcs = [tree.node_function(t_last[:i]) for i in range(1, depth + 1)]
-    compat = compatible(branch_funcs, scheme)
-    rep.add(
+    rep.holds(
         "scheme compatibility",
         "cantor-scheme-compatibility",
         "each branch function is its sign on the signed cells",
-        str(compat),
-        compat,
-        True,
+        compatible(branch_funcs, scheme),
         detail=f"scheme depth {depth}",
     )
 
@@ -475,13 +481,11 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
     bio_ok = all(
         bio[i][j] == (1 if i == j else 0) for i in range(m) for j in range(m)
     )
-    rep.add(
+    rep.holds(
         "biorthogonality",
         "rademacher-biorthogonality",
         "pair(mu_i, f_j) == delta_ij (exact)",
-        str(bio_ok),
         bio_ok,
-        True,
     )
 
     # (last element, q, p) for every initial segment of E, which is
@@ -491,20 +495,18 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
     for seg_idx, (_, idxs) in enumerate(segs):
         for i in idxs:
             seg_of[i] = seg_idx
-    a_weights: list[Weight] = []
-    qs_constant = True
-    for seg_idx, (_, idxs) in enumerate(segs):
-        qs = [terms[i][1] for i in idxs]
-        qs_constant = qs_constant and all(q == qs[0] for q in qs)
-        a_weights.append(qs[0])
+    seg_qs = [[terms[i][1] for i in idxs] for _, idxs in segs]
+    qs_constant = all(q == qs[0] for qs in seg_qs for q in qs)
+    a_weights = [qs[0] for qs in seg_qs]
     sum_sq = sum((a.square() for a in a_weights), Fraction(0))
-    rep.add(
+    rep.compare(
         "coefficients square-sum",
         "weights-l2-sum-one",
         "sum of squared segment coefficients == 1 (exact)",
-        str(sum_sq),
-        qs_constant and sum_sq == 1,
-        True,
+        sum_sq,
+        "==",
+        1,
+        also={"constant_q": (qs_constant, "is", True)},
     )
 
     # exact dual pairing of the averaged tensor against
@@ -514,17 +516,15 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
     for idx, (x, q, p) in enumerate(terms):
         sj = seg_of[idx]
         for i in range(m):
-            coord = 1 if x in block_sets[i] else 0
-            if coord:
+            if x in block_sets[i]:
                 pairing.add(q * a_weights[i], p * bio[i][sj])
-    pairing_ok = pairing == 1
-    rep.add(
+    rep.compare(
         "dual pairing",
         "tensor-dual-pairing-one",
         "== 1 (exact radical arithmetic)",
-        repr(pairing),
-        pairing_ok,
-        True,
+        pairing,
+        "==",
+        1,
     )
 
     # the averaged tensor as a matrix: certificate rows x selector atoms
@@ -533,16 +533,17 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
         coeff[seg_of[idx]] += float(q) * float(p)
     V = np.array([[coeff[i] * v for v in values[depths[i] - 1]] for i in range(m)])
 
-    lp_ok = m <= MAX_LP_SIDE and len(leaves) <= MAX_LP_SIDE
-    if lp_ok:
+    if m <= MAX_LP_SIDE and len(leaves) <= MAX_LP_SIDE:
         val, cert = pi_norm(V)
-        rep.add(
+        rep.compare(
             "projective lower bound (LP)",
             "tensor-pi-lower-bound",
             f">= 1 - {LP_TOL}",
-            f"{val:.12f}",
-            val >= 1 - LP_TOL,
-            False,
+            val,
+            ">=",
+            1,
+            ".12f",
+            tol=LP_TOL,
             detail=f"certificate bound {cert.bound:.12f}",
         )
     else:
@@ -561,36 +562,30 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
         for i in range(m)
         for j in range(m)
     )
-    rep.add(
+    rep.holds(
         "rademacher gram identity",
         "rademacher-gram-orthogonality",
         "R R^T == I / 2^depth (exact)",
-        str(gram_ok),
         gram_ok,
-        True,
     )
-    exact_lower = gram_ok and bio_ok and qs_constant and sum_sq == 1 and pairing_ok
-    rep.add(
+    rep.holds(
         "projective lower bound (exact certificate)",
         "tensor-pi-lower-bound-exact",
         ">= 1 exactly",
-        str(exact_lower),
-        exact_lower,
-        True,
+        gram_ok and bio_ok and qs_constant and sum_sq == 1 and pairing == 1,
         detail=(
             "dual functional has bilinear norm <= 1 by Cauchy-Schwarz from the "
             "Gram identity; its pairing with the average is exactly 1"
         ),
     )
     if depth <= 3:
-        w2 = weak2_norm_squared_exact(mus)
-        rep.add(
+        rep.compare(
             "rademacher weak-2 bound",
             "rademacher-weak-2",
             "squared weak-2 norm <= 1 (exact sign enumeration)",
-            str(w2),
-            w2 <= 1,
-            True,
+            weak2_norm_squared_exact(mus),
+            "<=",
+            1,
         )
     return rep
 
@@ -633,13 +628,11 @@ def run_blocking_demo(cfg: ScenarioConfig) -> Report:
         )
         for n in range(1, n_blocks + 1)
     ]
-    rep.add(
+    rep.holds(
         "indicator supports disjoint",
         "disjoint-supports",
         "pairwise disjoint (interval arithmetic)",
-        str(disjoint(gs)),
         disjoint(gs),
-        True,
     )
     try:
         blocks = decompose(Base(xi), make_stream(cfg.stream), n_blocks,
@@ -671,23 +664,25 @@ def run_blocking_demo(cfg: ScenarioConfig) -> Report:
         ws.append(u_n + v_n)
     demo_samples = min(cfg.samples, 8)
     for label, fam in [("column-strip half", us), ("row-strip half", vs[1:])]:
-        lower = weak_2_norm_pi_lower(fam, samples=demo_samples, seed=cfg.seed)
-        rep.add(
+        rep.compare(
             f"weak-2 lower of {label}",
             "staircase-weak-2-half",
             f"<= {GROTHENDIECK_BOUND} (one-sided)",
-            f"{lower:.6f}",
-            lower <= GROTHENDIECK_BOUND + 1e-9,
-            False,
+            weak_2_norm_pi_lower(fam, samples=demo_samples, seed=cfg.seed),
+            "<=",
+            GROTHENDIECK_BOUND,
+            ".6f",
+            tol=1e-9,
         )
-    lower = weak_2_norm_pi_lower(ws, samples=demo_samples, seed=cfg.seed)
-    rep.add(
+    rep.compare(
         "weak-2 lower of staircase",
         "staircase-weak-2",
         f"<= {2 * GROTHENDIECK_BOUND} (one-sided)",
-        f"{lower:.6f}",
-        lower <= 2 * GROTHENDIECK_BOUND + 1e-9,
-        False,
+        weak_2_norm_pi_lower(ws, samples=demo_samples, seed=cfg.seed),
+        "<=",
+        2 * GROTHENDIECK_BOUND,
+        ".6f",
+        tol=1e-9,
     )
     return rep
 
@@ -720,28 +715,24 @@ def _check_averages(rep: Report, xi, blocks, gs: list, eps: Fraction):
         averages = [
             avg(xi, iter(full), u, n) for n in range(1, n_blocks + 1)
         ]
-        w1 = weak_1_norm_exact(averages)
         bound = Fraction(1) + eps if label == "perturbed" else Fraction(1)
-        rep.add(
+        rep.compare(
             f"weak-1 of averages ({label})",
             "averages-weak-1-bound",
             f"<= {bound} (exact)",
-            str(w1),
-            w1 <= bound,
-            True,
+            weak_1_norm_exact(averages),
+            "<=",
+            bound,
             detail=f"block sizes {[len(b) for b in blocks]}",
         )
-        errs_ok = True
-        for n in range(1, n_blocks + 1):
-            err = (averages[n - 1] - gs[n - 1]).sup_norm()
-            errs_ok = errs_ok and Fraction(err) <= amp / 2**n
-        rep.add(
+        rep.holds(
             f"per-block error ({label})",
             "averages-block-error",
             "sup error of block n below eps/2^n (exact)",
-            str(errs_ok),
-            errs_ok,
-            True,
+            all(
+                Fraction((a - g).sup_norm()) <= amp / 2**n
+                for n, (a, g) in enumerate(zip(averages, gs), start=1)
+            ),
         )
 
 
@@ -759,45 +750,50 @@ def run_groth_probe(cfg: ScenarioConfig) -> Report:
         [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
     )
     fs = H / 2.0  # rows over 4 points; columnwise l2 sums are exactly 1
-    rep.add(
+    rep.compare(
         "row family weak-2 norm",
         "weak-2-column-formula",
         "== 1",
-        f"{weak_p_norm_vec(fs, 2):.12f}",
-        abs(weak_p_norm_vec(fs, 2) - 1.0) < 1e-12,
-        False,
+        weak_p_norm_vec(fs, 2),
+        "==",
+        1,
+        ".12f",
+        tol=1e-12,
     )
     gs = rng.uniform(-1.0, 1.0, size=(4, 4))
     gs /= np.abs(gs).max(axis=1, keepdims=True)
     pairs = [np.outer(fs[i], gs[i]) for i in range(4)]
-    lower = weak_2_norm_pi_lower(pairs, samples=cfg.samples, seed=cfg.seed)
-    rep.add(
+    rep.compare(
         "rademacher-paired weak-2 lower",
         "grothendieck-one-sided",
         f"<= {GROTHENDIECK_BOUND}",
-        f"{lower:.6f}",
-        lower <= GROTHENDIECK_BOUND + 1e-9,
-        False,
+        weak_2_norm_pi_lower(pairs, samples=cfg.samples, seed=cfg.seed),
+        "<=",
+        GROTHENDIECK_BOUND,
+        ".6f",
+        tol=1e-9,
     )
-    single = pi_norm(np.outer(fs[0] / np.abs(fs[0]).max(), gs[0]))[0]
-    rep.add(
+    rep.compare(
         "single elementary tensor",
         "cross-norm-single",
         "<= 1 + 1e-9",
-        f"{single:.12f}",
-        single <= 1 + 1e-9,
-        False,
+        pi_norm(np.outer(fs[0] / np.abs(fs[0]).max(), gs[0]))[0],
+        "<=",
+        1,
+        ".12f",
+        tol=1e-9,
     )
     disj = [np.outer(np.eye(4)[k], gs[k]) for k in range(4)]
     w1 = weak_1_norm_pi(disj)
-    lower_disj = weak_2_norm_pi_lower(disj, samples=cfg.samples, seed=cfg.seed)
-    rep.add(
+    rep.compare(
         "disjoint-first-factor weak-2 lower",
         "disjoint-tensor-weak-2",
         "<= weak-1 bound",
-        f"{lower_disj:.6f} (weak-1 {w1:.6f})",
-        lower_disj <= w1 + 1e-9,
-        False,
+        weak_2_norm_pi_lower(disj, samples=cfg.samples, seed=cfg.seed),
+        "<=",
+        w1,
+        "{value:.6f} (weak-1 {bound:.6f})",
+        tol=1e-9,
     )
     return rep
 
@@ -852,15 +848,16 @@ def run_lower_bound_probe(cfg: ScenarioConfig) -> Report:
                 U[:, j0 + jj] = float(a[i]) * float(b) * fvals
             U[:, n + i] = float(a[i]) * fvals
             j0 += len(bs[i])
-        val, cert = pi_norm(U)
-        ok = pairing == 1 and sum_sq == 1 and val >= 1 - LP_TOL
-        rep.add(
+        rep.compare(
             f"trial {trial}",
             "biorthogonal-lower-bound",
             f"pairing == 1 exactly and LP pi >= 1 - {LP_TOL}",
-            f"pairing={pairing!r}, pi={val:.12f}",
-            ok,
-            False,
+            pi_norm(U)[0],
+            ">=",
+            1,
+            "pairing={pairing!r}, pi={value:.12f}",
+            tol=LP_TOL,
+            also={"pairing": (pairing, "==", 1), "square_sum": (sum_sq, "==", 1)},
             detail=f"blocks {block_sizes}",
         )
     return rep
@@ -917,25 +914,27 @@ _VERIFY_OPTIONS = {
 
 
 def _add_common(p: argparse.ArgumentParser, names):
-    """``--out``, ``--format`` and the scenario options ``names``."""
+    """``--out``, ``--format`` and the scenario options ``names``; ``p``
+    sets no default, so an option not given is not in the namespace."""
     specs = {
-        "xi": dict(default="0", help="ordinal literal, e.g. 'w^2*3 + 1'"),
-        "zeta": dict(default="0", help="ordinal literal"),
-        "stream": dict(default="3", help="stream literal, e.g. '3' or '2,5,...'"),
-        "seed": dict(type=int, default=0),
-        "max-root": dict(dest="max_root", type=int, default=10),
-        "block-budget": dict(dest="block_budget", type=int, default=5000),
-        "blocks": dict(type=int, default=3),
-        "samples": dict(type=int, default=24),
-        "eps": dict(default="1/100"),
+        "xi": dict(help="ordinal literal, e.g. 'w^2*3 + 1'"),
+        "zeta": dict(help="ordinal literal"),
+        "stream": dict(help="stream literal, e.g. '3' or '2,5,...'"),
+        "seed": dict(type=int),
+        "max-root": dict(type=int),
+        "block-budget": dict(type=int),
+        "blocks": dict(type=int),
+        "samples": dict(type=int),
+        "eps": dict(),
     }
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    p.add_argument("--out")
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"))
     for name in names:
         p.add_argument(f"--{name}", **specs[name])
 
 
 def _cfg_from(args) -> ScenarioConfig:
+    """The options given, over the defaults of ``ScenarioConfig``."""
     kw = {f.name: getattr(args, f.name) for f in fields(ScenarioConfig)
           if hasattr(args, f.name)}
     return ScenarioConfig(**kw)
@@ -999,7 +998,7 @@ def main(argv=None) -> int:
     p_v = sub.add_parser("verify", help="verification scenarios with reports")
     v_sub = p_v.add_subparsers(dest="action", required=True)
     for action, names in _VERIFY_OPTIONS.items():
-        _add_common(v_sub.add_parser(action), names)
+        _add_common(v_sub.add_parser(action, argument_default=argparse.SUPPRESS), names)
 
     args = parser.parse_args(argv)
     try:

@@ -3,11 +3,14 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ordtensor.harness as harness
 from ordtensor.harness import (
     Check,
     Report,
@@ -26,6 +29,7 @@ from ordtensor.harness import (
     run_perm_suite,
     run_sharpness,
 )
+from ordtensor.weights import RadicalSum, Weight
 
 from oracles import spreads, subsets
 
@@ -50,22 +54,76 @@ class TestStreams:
 class TestReports:
     def test_pass_fail_and_skip(self):
         r = Report("demo", {})
-        r.add("good", "id-a", "==", "1", True, True)
+        r.holds("good", "id-a", "==", True)
         assert r.passed()
         r.skip("later", "id-b", "budget")
         assert r.passed()
-        r.add("bad", "id-c", "==", "2", False, True)
+        r.compare("bad", "id-c", "==", 2, "==", 1)
         assert not r.passed()
 
     def test_json_and_csv_shapes(self):
         r = Report("demo", {"xi": "1"})
-        r.add("good", "id-a", "==", "1", True, True)
+        r.compare("good", "id-a", "==", 1, "==", 1)
         payload = json.loads(reports_to_json([r]))
         assert payload["passed"] is True
         assert payload["reports"][0]["scenario"] == "demo"
         csv_text = reports_to_csv([r])
         assert csv_text.splitlines()[0].startswith("scenario,check")
         assert "demo,good" in csv_text
+
+    @pytest.mark.parametrize("value, bound, tol", [
+        (0.5, 1, 0),
+        (Fraction(1, 2), 1.0, 0),
+        (Fraction(1, 2), 1, 1e-9),
+        (np.float64(0.5), 1, 0),
+    ], ids=["float-value", "float-bound", "float-tolerance", "numpy-float"])
+    def test_a_float_in_the_verdict_is_not_exact(self, value, bound, tol):
+        r = Report("demo", {})
+        r.compare("c", "id", "<=", value, "<=", bound, tol=tol)
+        r.compare("d", "id", "<=", Fraction(1, 2), "<=", 1, also={"x": (value, "<=", bound + tol)})
+        assert [c.exact for c in r.checks] == [False, False]
+        assert r.passed()
+
+    @pytest.mark.parametrize("value, bound", [
+        (Fraction(1, 2), Fraction(1)),
+        (1, 1),
+        (True, True),
+        (RadicalSum().add(Weight(Fraction(1), 4), 2), 1),
+    ], ids=["fraction", "int", "bool", "radical-sum"])
+    def test_exact_values_give_an_exact_check(self, value, bound):
+        r = Report("demo", {})
+        r.compare("c", "id", "<=", value, "==" if value == bound else "<=", bound)
+        assert r.checks[0].exact and r.checks[0].passed
+
+    def test_a_false_comparison_fails(self):
+        r = Report("demo", {})
+        r.compare("over", "id", "<= 1", Fraction(3, 2), "<=", 1)
+        r.compare("past-tolerance", "id", ">= 1", 1 - 2e-9, ">=", 1, tol=1e-9)
+        r.compare("not-close", "id", "== 1", 1 + 2e-12, "==", 1, tol=1e-12)
+        r.compare("claim", "id", "<= 1", 0, "<=", 1, also={"q": (False, "is", True)})
+        r.holds("fact", "id", "holds", False)
+        assert [c.passed for c in r.checks] == [False] * 5
+        assert not r.passed()
+
+    def test_tolerance_widens_the_bound(self):
+        r = Report("demo", {})
+        r.compare("le", "id", "<= 1", 1 + 5e-10, "<=", 1, tol=1e-9)
+        r.compare("ge", "id", ">= 1", 1 - 5e-10, ">=", 1, tol=1e-9)
+        r.compare("eq", "id", "== 1", 1 - 5e-13, "==", 1, tol=1e-12)
+        assert all(c.passed and not c.exact for c in r.checks)
+
+    def test_computed_is_the_judged_value(self):
+        r = Report("demo", {})
+        r.compare("a", "id", "<= 1", Fraction(1, 3), "<=", 1)
+        r.compare("b", "id", "<= 1", 1 / 3, "<=", 1, ".6f")
+        r.compare("c", "id", "<= w", 0.25, "<=", 0.5, "{value:.2f} (w {bound:.1f})", tol=1e-9)
+        r.compare("d", "id", ">= 1", 1.0, ">=", 1, "{q}, {value}", also={"q": (Fraction(1), "==", 1)})
+        r.compare("e", "id", "exists", None, "is not", None)
+        r.holds("f", "id", "holds", True)
+        assert [c.computed for c in r.checks] == [
+            "1/3", "0.333333", "0.25 (w 0.5)", "1, 1.0", "None", "True"
+        ]
+        assert [c.passed for c in r.checks] == [True] * 4 + [False, True]
 
     def test_wall_time_excluded_when_asked(self):
         r = Report("demo", {})
@@ -263,6 +321,26 @@ class TestCli:
         assert {c["check_id"] for c in report["checks"]} >= {
             "disjoint-supports", "staircase-weak-2-half", "staircase-weak-2"
         }
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify", "all"], ScenarioConfig()),
+        (["verify", "families"], ScenarioConfig()),
+        (["verify", "perm", "--xi", "1", "--blocks", "2", "--format", "csv"],
+         ScenarioConfig(xi="1", blocks=2, fmt="csv")),
+        (["verify", "sharpness", "--max-root", "4", "--block-budget", "9", "--out", "r.json"],
+         ScenarioConfig(max_root=4, block_budget=9, out="r.json")),
+        (["verify", "blocking", "--eps", "1/3", "--seed", "5", "--samples", "2"],
+         ScenarioConfig(eps="1/3", seed=5, samples=2)),
+    ], ids=["all", "families", "perm", "sharpness", "blocking"])
+    def test_verify_defaults_come_from_the_config(self, argv, expected, monkeypatch):
+        # an option not given takes its ScenarioConfig default
+        seen = []
+        monkeypatch.setattr(harness, "_emit", lambda reports, cfg: seen.append(cfg) or 0)
+        for run in ("run_all", "run_family_suite", "run_perm_suite", "run_sharpness",
+                    "run_blocking_demo"):
+            monkeypatch.setattr(harness, run, lambda cfg: [])
+        assert main(argv) == 0
+        assert seen == [expected]
 
 
 class TestCliInputErrors:

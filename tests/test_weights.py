@@ -233,6 +233,26 @@ class TestVerifyPerm:
         with pytest.raises(ValueError):
             verify_perm(1, 0, [(3, 4)])
 
+    @pytest.mark.parametrize("xi, zeta, identity", [(1, 0, "perm_p"), (0, 1, "perm_q")])
+    def test_the_last_cut_is_checked(self, monkeypatch, xi, zeta, identity):
+        # a descent that is off by one only on the suffix from the last
+        # cut breaks the identity, so the check reaches that cut
+        import ordtensor.weights as weights
+
+        blocks = decompose(Conv(zeta, xi), count(3), 3)
+        full = tuple(chain.from_iterable(blocks))
+        cut_blocks = split_blocks(Base(xi), full) if identity == "perm_p" else blocks
+        suffix = full[len(full) - len(cut_blocks[-1]):]
+        real = weights._prefix_descent
+
+        def off_on_suffix(level, inner, E):
+            rs = real(level, inner, E)
+            return [r + 1 for r in rs] if E == suffix else rs
+
+        assert getattr(verify_perm(xi, zeta, blocks), identity)
+        monkeypatch.setattr(weights, "_prefix_descent", off_on_suffix)
+        assert not getattr(verify_perm(xi, zeta, blocks), identity)
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.sampled_from([0, 1, 2, OMEGA]),
