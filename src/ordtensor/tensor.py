@@ -423,6 +423,7 @@ def _oriented(W: np.ndarray, A: np.ndarray, rows, cols) -> Block:
     return min(forms, key=lambda b: b.matrix.tobytes())
 
 
+@np.errstate(over="ignore")
 def normal_form(u) -> tuple[Block, ...]:
     """The isometric normal form of U as blocks on disjoint lines.
 
@@ -436,7 +437,8 @@ def normal_form(u) -> tuple[Block, ...]:
     (the injective norm is a max of entries anyway).  The zero matrix
     has no block.  Each block is signed and sorted by :func:`_normalize`
     and turned wide side up by :func:`_oriented`, and the blocks come in
-    order of shape, then entries.
+    order of shape, then entries.  Line norms past the float range are
+    inf, which only weakens the screen for signed copies: no warning.
     """
     U = _as_array(u)
     A = np.abs(U)
@@ -564,13 +566,20 @@ def _scaled(W: np.ndarray) -> np.ndarray:
     HiGHS works to absolute tolerances (1e-7 on reduced costs), so a
     model with entries near 1e-8 came back with a wrong, even negative,
     value; the norm is homogeneous, and dividing by a power of two is
-    exact, so each LP objective is scaled by it.  The exponent comes
-    from ``math.frexp`` and the division is ``np.ldexp``, so a largest
-    entry near the top of the float range, whose power of two is past
-    it, scales too.  The value is read off as ``<B, W>`` on the unscaled
-    model, one formula for every LP."""
+    exact, so each LP reads the model scaled by it: the certificate
+    LPs in their objective, the synthesis LP of
+    :func:`pi_norm_decomposition` in its right-hand side.  The exponent
+    comes from ``math.frexp`` and the division is ``np.ldexp``, so a
+    largest entry near the top of the float range, whose power of two is
+    past it, scales too.  The value is read off as ``<B, W>`` on the
+    unscaled model, one formula for every certificate LP."""
+    return np.ldexp(W, -_scale_exponent(W))
+
+
+def _scale_exponent(W: np.ndarray) -> int:
+    """The e with ``max |W| / 2^e`` in (1/2, 1], or 0 for the zero matrix."""
     mantissa, e = math.frexp(float(np.abs(W).max()))
-    return np.ldexp(W, -(e - (mantissa == 0.5)))
+    return e - (mantissa == 0.5)
 
 
 def _solve_epigraphs(mats: list[np.ndarray], parts) -> list[tuple[float, np.ndarray]]:
@@ -813,6 +822,7 @@ def _form_key(blocks) -> tuple:
     return tuple((b.matrix.shape, b.matrix.tobytes()) for b in blocks)
 
 
+@np.errstate(over="ignore")
 def _rank_one(W: np.ndarray) -> bool:
     """Whether W is within ``RANK_ONE_TOL`` of rank one, so that its
     projective norm is its largest entry.
@@ -827,7 +837,8 @@ def _rank_one(W: np.ndarray) -> bool:
     RANK_ONE_TOL * |p|``: a float screen, with slack for its rounding,
     turns most blocks away, and the rest is decided in ``Fraction``s,
     which hold floats exactly, as ``sum |W_kl p - W_kj W_il| <=
-    RANK_ONE_TOL p^2``."""
+    RANK_ONE_TOL p^2``.  A residual past the float range is inf and
+    turns the block away, with no warning."""
     if min(W.shape) == 1:
         return True
     i, j = divmod(int(np.abs(W).argmax()), W.shape[1])
@@ -883,7 +894,8 @@ def pi_norm_decomposition(u) -> tuple[float, list[tuple[float, np.ndarray, np.nd
     oracle for :func:`pi_norm`; it also returns the achieving
     decomposition, a certified upper bound.  Unlike the cutting-plane
     supremum it enumerates all dyads up front, so both sides must be
-    small.
+    small.  The LP reads U scaled as in :func:`_scaled`, and the value
+    and the weights are scaled back exactly.
     """
     U = _as_array(u)
     m, n = U.shape
@@ -893,14 +905,15 @@ def pi_norm_decomposition(u) -> tuple[float, list[tuple[float, np.ndarray, np.nd
     D = _signs(n)
     dyads = np.einsum("ai,bj->abij", E, D).reshape(-1, m * n).T  # (mn, K)
     K = dyads.shape[1]
-    b = U.reshape(-1)
+    e = _scale_exponent(U)
+    b = np.ldexp(U.reshape(-1), -e)
     res = linprog(np.ones(2 * K), np.hstack([dyads, -dyads]), b, b, np.array([[0.0, np.inf]]))
     lam = res.x[:K] - res.x[K:]
     terms = []
     for k in np.nonzero(np.abs(lam) > 1e-12)[0]:
         a, b = divmod(int(k), D.shape[0])
-        terms.append((float(lam[k]), E[a].copy(), D[b].copy()))
-    return float(res.fun), terms
+        terms.append((math.ldexp(lam[k], e), E[a].copy(), D[b].copy()))
+    return math.ldexp(res.fun, e), terms
 
 
 def pair_dual(u, cert: DualCertificate) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -237,6 +238,17 @@ class TestPiNorm:
             for u, want in ((m, 1.5), (m * [[1], [-1]], 1.5), (dense, base)):
                 assert abs(pi_norm(a * u)[0] - a * want) <= 1e-9 * a * want
 
+    def test_synthesis_oracle_at_tiny_and_huge_scales(self):
+        # the synthesis LP read U unscaled: at 1e-9 it returned 0.0 with no
+        # dyad, and at 1e300 HiGHS refused the model
+        m = np.array([[0.0, 1.0], [1.0, 1.0]])
+        for a in (1e-9, 1e300):
+            want = pi_norm(a * m)[0]
+            val, terms = pi_norm_decomposition(a * m)
+            assert abs(val - want) <= 1e-9 * want
+            rebuilt = sum(lam * np.outer(e, d) for lam, e, d in terms)
+            assert np.abs(rebuilt - a * m).max() <= 1e-9 * a
+
     def test_entries_near_the_top_of_the_float_range(self):
         # the power of two above 1e308 is past the float range, and taking
         # it raised OverflowError; the scaled LP is the same as at 2^-1000
@@ -472,6 +484,20 @@ class TestRankOne:
         assert abs(pair_dual(u, cert) / cert.bound - val) < 1e-9
         if not lp:
             assert val == 1.0 and cert.bound == 1
+
+
+    def test_quiet_near_the_top_of_the_float_range(self):
+        # line norms and residuals past the float range are inf; on its
+        # own, away from PiSolver, numpy warned of the overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u, rank_one in (
+                ([[1e308, 1e308], [1e308, -1e308]], [False]),
+                ([[1e308, 1e308]], [True]),
+                ([[1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]], [False]),
+            ):
+                blocks = normal_form(u)
+                assert [tensor._rank_one(b.matrix) for b in blocks] == rank_one
 
 
 class TestPiSolver:
