@@ -94,8 +94,7 @@ class Check:
     detail: str = ""
 
 
-# the comparisons a check may state, each with a tolerance that widens
-# its bound; "==" with a tolerance reads |value - bound| <= tol
+# a tolerance widens the bound; "==" with one reads |value - bound| <= tol
 _OPS = {
     "==": lambda v, b, tol: abs(v - b) <= tol if tol else v == b,
     "<=": lambda v, b, tol: v <= b + tol,
@@ -129,7 +128,7 @@ class Report:
         shown = {"value": value, "bound": bound} | {k: c[0] for k, c in also.items()}
         computed = fmt.format(**shown) if "{" in fmt else format(value, fmt)
         passed = all(_OPS[o](v, b, t) for v, o, b, t in claims)
-        exact = not any(isinstance(x, (float, np.floating)) for c in claims for x in c)
+        exact = not any(isinstance(x, float) for c in claims for x in c)
         self.checks.append(Check(name, check_id, relation, computed, passed, exact, detail=detail))
 
     def skip(self, name: str, check_id: str, reason: str):
@@ -516,7 +515,8 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
     for idx, (x, q, p) in enumerate(terms):
         sj = seg_of[idx]
         for i in range(m):
-            if x in block_sets[i]:
+            coord = 1 if x in block_sets[i] else 0
+            if coord:
                 pairing.add(q * a_weights[i], p * bio[i][sj])
     rep.compare(
         "dual pairing",
@@ -533,7 +533,8 @@ def run_sharpness(cfg: ScenarioConfig) -> Report:
         coeff[seg_of[idx]] += float(q) * float(p)
     V = np.array([[coeff[i] * v for v in values[depths[i] - 1]] for i in range(m)])
 
-    if m <= MAX_LP_SIDE and len(leaves) <= MAX_LP_SIDE:
+    lp_ok = m <= MAX_LP_SIDE and len(leaves) <= MAX_LP_SIDE
+    if lp_ok:
         val, cert = pi_norm(V)
         rep.compare(
             "projective lower bound (LP)",
@@ -784,14 +785,13 @@ def run_groth_probe(cfg: ScenarioConfig) -> Report:
         tol=1e-9,
     )
     disj = [np.outer(np.eye(4)[k], gs[k]) for k in range(4)]
-    w1 = weak_1_norm_pi(disj)
     rep.compare(
         "disjoint-first-factor weak-2 lower",
         "disjoint-tensor-weak-2",
         "<= weak-1 bound",
         weak_2_norm_pi_lower(disj, samples=cfg.samples, seed=cfg.seed),
         "<=",
-        w1,
+        weak_1_norm_pi(disj),
         "{value:.6f} (weak-1 {bound:.6f})",
         tol=1e-9,
     )
@@ -914,8 +914,9 @@ _VERIFY_OPTIONS = {
 
 
 def _add_common(p: argparse.ArgumentParser, names):
-    """``--out``, ``--format`` and the scenario options ``names``; ``p``
-    sets no default, so an option not given is not in the namespace."""
+    """``--out``, ``--format`` and the scenario options ``names``.  ``p``
+    suppresses defaults: an option not given stays out of the namespace,
+    and :func:`_cfg_from` takes its ``ScenarioConfig`` default."""
     specs = {
         "xi": dict(help="ordinal literal, e.g. 'w^2*3 + 1'"),
         "zeta": dict(help="ordinal literal"),
@@ -934,7 +935,6 @@ def _add_common(p: argparse.ArgumentParser, names):
 
 
 def _cfg_from(args) -> ScenarioConfig:
-    """The options given, over the defaults of ``ScenarioConfig``."""
     kw = {f.name: getattr(args, f.name) for f in fields(ScenarioConfig)
           if hasattr(args, f.name)}
     return ScenarioConfig(**kw)
