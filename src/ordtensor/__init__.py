@@ -15,6 +15,6 @@ from .schreier import (
 from .weights import Weight, avg, avg2, p_weight, q_weight, verify_perm
 from .trees import build_tree, cantor_scheme, rank_finite
 from .space import AtomicMeasure, CantorScheme, Iv, StepFunction, rademacher
-from .tensor import eps_norm, pi_norm, weak_1_norm_pi, weak_p_norm_vec
+from .tensor import eps_norm, pi_norm, weak_1_norm_pi
 
 __version__ = "0.1.0"

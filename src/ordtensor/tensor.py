@@ -50,7 +50,6 @@ __all__ = [
     "pi_norm",
     "pi_norm_decomposition",
     "pair_dual",
-    "weak_p_norm_vec",
     "weak_1_norm_pi",
     "weak_2_norm_pi_lower",
     "normal_form",
@@ -676,25 +675,19 @@ class PiSolver:
     def solve(self, U: np.ndarray) -> tuple[float, DualCertificate]:
         """Optimal value and certificate; a matrix seen before by this
         solver returns its first answer without a new LP."""
-        U = _as_array(U)
-        _check_lp_budget(*U.shape)
-        key = (U.shape, U.tobytes())
-        if key not in self._solved:
-            self._solve_new({key: U})
-        return self._solved[key]
+        return self.solve_all([U])[0]
 
     def solve_all(self, Us) -> list[tuple[float, DualCertificate]]:
         """``[self.solve(U) for U in Us]``, with the LP blocks of all the
         matrices not seen before solved together in joint LPs."""
-        mats = [_as_array(U) for U in Us]
-        new = {}
-        for U in mats:
+        keys, new = [], {}
+        for U in map(_as_array, Us):
             _check_lp_budget(*U.shape)
-            key = (U.shape, U.tobytes())
-            if key not in self._solved:
-                new.setdefault(key, U)
+            keys.append((U.shape, U.tobytes()))
+            if keys[-1] not in self._solved:
+                new.setdefault(keys[-1], U)
         self._solve_new(new)
-        return [self.solve(U) for U in mats]
+        return [self._solved[key] for key in keys]
 
     @np.errstate(over="ignore")
     def _solve_new(self, mats: dict[tuple, np.ndarray]):
@@ -922,17 +915,6 @@ def pair_dual(u, cert: DualCertificate) -> float:
     if U.shape != cert.matrix.shape:
         raise ValueError("certificate shape does not match the matrix")
     return float(np.sum(cert.matrix * U))
-
-
-def weak_p_norm_vec(xs: Sequence, p: float) -> float:
-    """Weakly p-summing norm of vectors in a finite sup-norm space.
-
-    By convexity the dual-ball supremum is attained at signed
-    coordinates, giving the columnwise formula."""
-    arr = np.asarray(xs, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("expected a family of equal-length vectors")
-    return float((np.abs(arr) ** p).sum(axis=0).max() ** (1.0 / p))
 
 
 def _stack(us: Sequence) -> np.ndarray:

@@ -125,7 +125,7 @@ class RadicalSum:
     def __init__(self):
         self._terms: dict[int, Fraction] = {}
 
-    def add(self, w: Weight, c=1) -> "RadicalSum":
+    def add(self, w: Weight, c) -> "RadicalSum":
         c = Fraction(c)
         if c == 0:
             return self

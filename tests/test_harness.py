@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -192,16 +193,16 @@ class TestScenarios:
         assert all(r.wall_time_s > 0 for r in reports)
         text = reports_to_json(reports, include_wall_time=False)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "4c26b257c708a9bae400ce9153bc56259a63d46ac389269f68775d332af085e7"
+            "82d0d3c6fe38594ce0c87386eb768c343515aeaa72a2f69a258c47e8a5d40d0f"
         )
 
     @pytest.mark.parametrize("seed, digest", [
-        (1, "e31f7918eaf3fdf09136c029eea7587ad8f5993f0a0931e2d2e1e366ad1b4772"),
-        (2, "fa8bd164c6da6f2087ce9fc42802d3596ea244a0948ae62116df522e8b0b3eb5"),
-        (43, "cd6e6886363acfdd3644724317c95c590303c53b0a10fe79b4d064d82cc44a19"),
-    ])
+        (1, "35c042621b2fb260baf39be8cbb0bf8e8b5e084273795bd990bcffc5539ef100"),
+        (2, "e6f4fe1f1c4e91b7df5ec9b689e0646bf9869b76f0474258cf67f8a2284efb5d"),
+        (43, "9fb3b048f284b13d19d1c0c6d06b8bca634774e73d54bf8e0ab8d503e5a35bd8"),
+    ], ids=["1", "2", "43"])
     def test_seeded_golden_reports(self, seed, digest):
-        # the scenarios that read the seed, which hold 15 of the 18 float
+        # the scenarios that read the seed, which hold 14 of the 17 float
         # checks of `verify all`, pinned at seeds besides 0
         cfg = ScenarioConfig(seed=seed)
         reports = [run_blocking_demo(replace(cfg, xi="1")), run_groth_probe(cfg),
@@ -336,11 +337,26 @@ class TestCli:
         # an option not given takes its ScenarioConfig default
         seen = []
         monkeypatch.setattr(harness, "_emit", lambda reports, cfg: seen.append(cfg) or 0)
-        for run in ("run_all", "run_family_suite", "run_perm_suite", "run_sharpness",
-                    "run_blocking_demo"):
-            monkeypatch.setattr(harness, run, lambda cfg: [])
+        monkeypatch.setattr(harness, "run_all", lambda cfg: [])
+        for action, scenario in harness.SCENARIOS.items():
+            monkeypatch.setitem(harness.SCENARIOS, action, scenario._replace(run=lambda cfg: None))
         assert main(argv) == 0
         assert seen == [expected]
+
+    @pytest.mark.parametrize("action", ["perm", "families", "sharpness", "blocking", "groth",
+                                        "lower"])
+    def test_every_option_reaches_the_report(self, action, capsys):
+        # runs with different settings print different reports: each
+        # option a verify command takes is a parameter of its report
+        with pytest.raises(SystemExit):
+            main(["verify", action, "--help"])
+        options = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
+        options -= {"help", "out", "format"}
+        small = [arg for o in sorted(options & {"blocks", "samples"}) for arg in (f"--{o}", "2")]
+        options = {o.replace("-", "_") for o in options}
+        assert main(["verify", action, *small]) == 0
+        for report in json.loads(capsys.readouterr().out)["reports"]:
+            assert options - set(report["parameters"]) == set()
 
 
 class TestCliInputErrors:

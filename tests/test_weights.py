@@ -61,8 +61,8 @@ class TestRadicalSum:
 
     def test_mixed_radicands_not_rational(self):
         s = RadicalSum()
-        s.add(Weight(Fraction(1), 2))
-        s.add(Weight(Fraction(1), 3))
+        s.add(Weight(Fraction(1), 2), 1)
+        s.add(Weight(Fraction(1), 3), 1)
         assert s.as_rational() is None
         assert s != 1
 
