@@ -17,6 +17,7 @@ cells are ordinal-interval unions.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -429,21 +430,28 @@ def weak2_norm_squared_exact(measures: Sequence[AtomicMeasure]) -> Fraction:
     The predual ball's extreme points restricted to the finitely many
     atoms are sign vectors, so the supremum is an exhaustive max over
     sign assignments of the atom points.  Exponential in the number of
-    atoms; intended for small schemes.
+    atoms; intended for small schemes.  The weights are put over one
+    common denominator as ints, and the sign vectors are walked in
+    Gray-code order: each step flips one sign, which moves every row sum
+    by twice that atom's weight.
     """
     points = sorted({pt for mu in measures for pt, _ in mu.atoms}, key=str)
-    weight_rows = []
-    for mu in measures:
-        lookup = dict(mu.atoms)
-        weight_rows.append([lookup.get(pt, Fraction(0)) for pt in points])
-    best = Fraction(0)
-    for signs in product((-1, 1), repeat=len(points)):
-        total = Fraction(0)
-        for row in weight_rows:
-            v = sum(w * s for w, s in zip(row, signs))
-            total += v * v
-        best = max(best, total)
-    return best
+    den = math.lcm(*(w.denominator for mu in measures for _, w in mu.atoms))
+    columns = [[0] * len(measures) for _ in points]
+    at = {pt: j for j, pt in enumerate(points)}
+    for i, mu in enumerate(measures):
+        for pt, w in mu.atoms:
+            columns[at[pt]][i] = w.numerator * (den // w.denominator)
+    sums = [-sum(col[i] for col in columns) for i in range(len(measures))]  # all signs -1
+    signs = [-1] * len(points)
+    best = sum(v * v for v in sums)
+    for step in range(1, 1 << len(points)):
+        j = (step & -step).bit_length() - 1
+        signs[j] = -signs[j]
+        shift = 2 * signs[j]
+        sums = [v + shift * w for v, w in zip(sums, columns[j])]
+        best = max(best, sum(v * v for v in sums))
+    return Fraction(best, den * den)
 
 
 def compatible(funcs: Sequence[StepFunction], scheme: CantorScheme) -> bool:

@@ -951,16 +951,20 @@ def weak_2_norm_pi_lower(
 ) -> float:
     """Seeded lower bound for the weakly 2-summing projective norm.
 
-    Evaluates ``pi(sum a_k u_k)`` at unit l_2 coefficient vectors:
-    the coordinate directions, ``samples`` random directions, and a few
-    steps of certificate-gradient ascent from each.  Deterministic for
-    a fixed seed; only ever a lower bound.
+    Evaluates ``pi(sum a_k u_k)`` at unit l_2 coefficient vectors: the
+    coordinate directions, ``samples`` random directions, and up to
+    ``ASCENT_STEPS`` steps of certificate-gradient ascent from each.
+    The starts climb in lockstep: all of them are solved in one
+    :meth:`PiSolver.solve_all`, then each step solves the next points of
+    every start still climbing in one more, so that the points of a
+    round share joint LPs.  A start stops climbing when its gradient
+    ``<B, u_k>`` is zero or its next point is not higher by more than
+    1e-12.  Deterministic for a fixed seed; only ever a lower bound.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     stack = _stack(us)
-    mats = list(stack)
-    k = len(mats)
+    k = len(stack)
     solver = PiSolver()
     rng = np.random.default_rng(seed)
     starts = [np.eye(k)[i] for i in range(k)]
@@ -969,20 +973,18 @@ def weak_2_norm_pi_lower(
         norm = np.linalg.norm(v)
         if norm > 0:
             starts.append(v / norm)
-    best = 0.0
-    for a in starts:
-        val, cert = solver.solve(np.tensordot(a, stack, axes=1))
-        best = max(best, val)
-        for _ in range(ASCENT_STEPS):
-            g = np.array([float(np.sum(cert.matrix * m)) for m in mats])
+    climbing = solver.solve_all([np.tensordot(a, stack, axes=1) for a in starts])
+    best = max(val for val, _ in climbing)
+    for _ in range(ASCENT_STEPS):
+        ahead = []
+        for val, cert in climbing:
+            g = np.array([float(np.sum(cert.matrix * m)) for m in stack])
             norm = np.linalg.norm(g)
-            if norm == 0:
-                break
-            a_new = g / norm
-            new_val, new_cert = solver.solve(np.tensordot(a_new, stack, axes=1))
-            if new_val <= val + 1e-12:
-                break
-            val, cert, a = new_val, new_cert, a_new
-            best = max(best, val)
+            if norm > 0:
+                ahead.append((val, np.tensordot(g / norm, stack, axes=1)))
+        steps = zip(ahead, solver.solve_all([point for _, point in ahead]))
+        climbing = [new for (val, _), new in steps if new[0] > val + 1e-12]
+        if not climbing:
+            break
+        best = max(best, *(val for val, _ in climbing))
     return best
-

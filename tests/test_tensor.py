@@ -49,6 +49,21 @@ def linprog_calls():
         yield calls
 
 
+@pytest.fixture
+def solve_all_rounds(monkeypatch):
+    """The number of matrices of each ``PiSolver.solve_all`` call."""
+    rounds = []
+    real = PiSolver.solve_all
+
+    def spy(self, Us):
+        Us = list(Us)
+        rounds.append(len(Us))
+        return real(self, Us)
+
+    monkeypatch.setattr(PiSolver, "solve_all", spy)
+    return rounds
+
+
 # entries from a small lattice make zeros, ties and signed copies common
 entries = st.one_of(
     st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
@@ -793,7 +808,11 @@ class TestWeakNorms:
         harness.run_groth_probe(harness.ScenarioConfig(seed=seed))
         assert len(seen) == 5
         for us, kw, value in seen:
-            assert value == weak_2_reference(us, **kw)
+            # the lockstep rounds solve their points in joint LPs, which
+            # HiGHS rounds a few ulps apart from lone LPs
+            ref = weak_2_reference(us, **kw)
+            assert format(value, ".6f") == format(ref, ".6f")
+            assert abs(value - ref) <= 1e-12
 
     def test_weak2_matches_fresh_solves_on_random_families(self):
         local = np.random.default_rng(2024)
@@ -803,6 +822,42 @@ class TestWeakNorms:
             for seed in (0, 5):
                 got = weak_2_norm_pi_lower(us, samples=6, seed=seed)
                 assert got == weak_2_reference(us, samples=6, seed=seed)
+
+    def test_weak2_climbs_in_lockstep_rounds(self, monkeypatch, solve_all_rounds):
+        # the groth pairs of `verify all` at 64 samples: every start in
+        # one round, then one round per ascent step at most
+        pairs = []
+        monkeypatch.setattr(harness, "weak_2_norm_pi_lower",
+                            lambda us, **kw: pairs.append(us) or 0.0)
+        harness.run_groth_probe(harness.ScenarioConfig(samples=64, seed=0))
+        references = [weak_2_reference(us, samples=64, seed=0) for us in pairs]
+        for us, ref in zip(pairs, references):
+            solve_all_rounds.clear()
+            value = weak_2_norm_pi_lower(us, samples=64, seed=0)
+            assert 1 < len(solve_all_rounds) <= tensor.ASCENT_STEPS + 1
+            assert solve_all_rounds[0] == len(us) + 64
+            assert abs(value - ref) <= 1e-12
+
+    def test_weak2_of_zero_matrices_is_zero(self):
+        assert weak_2_norm_pi_lower([np.zeros((2, 3))] * 3, samples=5) == 0.0
+
+    def test_weak2_without_samples_climbs_from_the_coordinates(self, monkeypatch):
+        local = np.random.default_rng(77)
+        us = [local.uniform(-1, 1, (3, 3)) for _ in range(3)]
+        climbed = weak_2_norm_pi_lower(us, samples=0)
+        assert abs(climbed - weak_2_reference(us, samples=0)) <= 1e-12
+        monkeypatch.setattr(tensor, "ASCENT_STEPS", 0)
+        coordinates = max(pi_norm(u)[0] for u in us)
+        assert abs(weak_2_norm_pi_lower(us, samples=0) - coordinates) <= 1e-12
+        assert climbed >= coordinates
+
+    def test_weak2_start_with_zero_gradient_drops_out(self, solve_all_rounds):
+        # the start e_2 is the zero matrix, whose certificate is the unit
+        # form at (0, 0), where both matrices vanish
+        u = np.array([[0.0, 1.0], [1.0, 1.0]])
+        value = weak_2_norm_pi_lower([u, np.zeros((2, 2))], samples=0)
+        assert solve_all_rounds[:2] == [2, 1]
+        assert value == pi_norm(u)[0]
 
     def test_weak2_deterministic(self):
         us = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(3)]
