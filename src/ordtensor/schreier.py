@@ -282,8 +282,9 @@ class _Buffered:
     """Strictly increasing integer stream with indexed lookahead.
 
     A lookup past the buffer pulls the missing elements in one read, and
-    never more than the lookup or the budget needs.  Elements convert through ``operator.index``, as in ``as_finite_set``,
-    so a float or a string raises ``TypeError`` instead of being truncated.
+    never more than the lookup or the budget needs.  Elements convert
+    through ``operator.index``, as in ``as_finite_set``, so a float or a
+    string raises ``TypeError`` instead of being truncated.
     """
 
     def __init__(self, source: Iterable[int], max_elements: int | None = None):

@@ -177,21 +177,35 @@ def _prefix_descent(level: Ordinal, inner: Ordinal | None, E: tuple[int, ...]) -
     The product of a set is that of the minima met along the descent
     into its last block, level by level.  Greedy splits of a prefix
     truncate those of the full set, so all prefixes share one descent,
-    run on an explicit work stack; the last entry is the product of E.
+    run on an explicit work stack; the last entry is the product of E,
+    and the empty set has none.
+
+    Only a segment longer than its minimum m is split.  A shorter one is
+    one S_1 block (for q its inner block minima are: it has no more inner
+    blocks than elements), and S_1 lies inside every non-zero level's
+    family, so it is one block at every level below.  A finite level k
+    then multiplies its product by m**k in one step, and a limit or
+    transfinite level takes one level step with no split.
     """
     out = [1] * len(E)
-    stack = [(level, 0, len(E), 1)]
+    stack = [(level, 0, len(E), 1)] if E else []
     while stack:
         level, a, b, r = stack.pop()
+        m = E[a]
         if level.is_zero():
             out[a:b] = [r] * (b - a)
-            continue
-        c = a
-        for block in _split(_family(level, inner), E[a:b]):
-            d = c + len(block)
-            below, count = level_step(level, E[c])
-            stack.append((below, c, d, r * count))
-            c = d
+        elif b - a <= m and level.is_finite():
+            out[a:b] = [r * m ** level.to_int()] * (b - a)
+        elif b - a <= m:
+            below, count = level_step(level, m)
+            stack.append((below, a, b, r * count))
+        else:
+            c = a
+            for block in _split(_family(level, inner), E[a:b]):
+                d = c + len(block)
+                below, count = level_step(level, E[c])
+                stack.append((below, c, d, r * count))
+                c = d
     return out
 
 

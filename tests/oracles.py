@@ -12,9 +12,9 @@ set listed one by one, the projective-norm epigraph matrix built entry
 by entry, the earlier two-sided epigraph LP solved by scipy's
 ``linprog``, the weak-1 norm with one LP per sign vector, the weak-2
 ascent with a fresh LP for every step, the block walk and stream reads
-one element at a time, the weight identities in
-Fraction and Weight arithmetic, and derived-tree node ranks by
-iterated removal of maximal nodes.
+one element at a time, the weight descent with a greedy split at every
+level, the weight identities in Fraction and Weight arithmetic, and
+derived-tree node ranks by iterated removal of maximal nodes.
 """
 
 import operator
@@ -420,7 +420,28 @@ def stepwise_decompose(fam, stream, k: int, *, max_elements=None):
     return tuple(blocks)
 
 
-# -- the weight identities in Fraction and Weight arithmetic -------------
+# -- the weight descent and identities -----------------------------------
+
+
+def prefix_descent_reference(level, inner, E) -> list[int]:
+    """The descent product of every initial segment of E, with a greedy
+    split at every non-zero level: the descent without the shortcut for
+    segments no longer than their minimum."""
+    out = [1] * len(E)
+    stack = [(as_ordinal(level), 0, len(E), 1)]
+    while stack:
+        level, a, b, r = stack.pop()
+        if level.is_zero():
+            out[a:b] = [r] * (b - a)
+            continue
+        c = a
+        fam = Base(level) if inner is None else Conv(level, inner)
+        for block in split_blocks(fam, E[a:b]):
+            d = c + len(block)
+            below, count = level_step(level, E[c])
+            stack.append((below, c, d, r * count))
+            c = d
+    return out
 
 
 def verify_perm_reference(xi, zeta, blocks) -> PermReport:

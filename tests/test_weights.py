@@ -5,7 +5,7 @@ from itertools import accumulate, chain, count
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ordtensor.ordinal import OMEGA, Ordinal
+from ordtensor.ordinal import OMEGA, Ordinal, parse_ordinal
 from ordtensor.schreier import Base, BudgetExceeded, Conv, decompose, split_blocks
 from ordtensor.weights import (
     PermReport,
@@ -21,7 +21,13 @@ from ordtensor.weights import (
     verify_perm,
 )
 
-from oracles import oracle_p, oracle_q, subsets, verify_perm_reference
+from oracles import (
+    oracle_p,
+    oracle_q,
+    prefix_descent_reference,
+    subsets,
+    verify_perm_reference,
+)
 
 
 class TestWeight:
@@ -114,6 +120,14 @@ class TestPWeight:
         assert checked == []
         assert split_blocks(Base(1), [3, 4, 5, 6]) == ((3, 4, 5), (6,))
         assert checked == [1]
+
+    def test_empty_set_has_no_prefixes(self):
+        for xi in (0, 1, 2, OMEGA):
+            assert p_prefix_weights(xi, ()) == []
+            for zeta in (0, 1, OMEGA):
+                assert q_prefix_weights(xi, zeta, ()) == []
+        with pytest.raises(ValueError):
+            p_weight(1, ())
 
     def test_ordinal_text_levels(self):
         E = (3, 4, 5)
@@ -272,6 +286,59 @@ class TestVerifyPerm:
             blocks = e.blocks
         assume(blocks)
         assert verify_perm(xi, zeta, blocks) == verify_perm_reference(xi, zeta, blocks)
+
+
+@st.composite
+def descent_sets(draw):
+    # minima up to 300, sets shorter and longer than their minimum, and
+    # jumps that start later segments at large minima: the descent meets
+    # segments it takes as one block and segments it splits
+    start = draw(st.one_of(st.integers(1, 12), st.integers(13, 300)))
+    gaps = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(20, 120)), max_size=40))
+    return tuple(accumulate(gaps, initial=start))
+
+
+class TestDescent:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["1", "2", "3", "w", "w + 1", "w*2"]),
+        st.sampled_from([None, 0, 1, 2]),
+        descent_sets(),
+    )
+    def test_matches_split_at_every_level(self, level, inner, E):
+        import ordtensor.weights as weights
+
+        level = parse_ordinal(level)
+        inner = None if inner is None else Ordinal.from_int(inner)
+        assert weights._prefix_descent(level, inner, E) == prefix_descent_reference(
+            level, inner, E
+        )
+
+    def test_deep_minimum_takes_no_split_per_level(self, monkeypatch):
+        # a set no longer than its minimum is one block at every level:
+        # the descent through its m + 1 finite levels splits nothing
+        import ordtensor.weights as weights
+
+        weights._p.cache_clear()
+        weights._q.cache_clear()
+        calls = []
+
+        def counting(fam, E):
+            calls.append(fam)
+            return real(fam, E)
+
+        real = weights._split
+        monkeypatch.setattr(weights, "_split", counting)
+        E = tuple(range(1100, 1108))
+        cases = [
+            (lambda: p_weight("w", E), Fraction(1, 1100**1101)),
+            (lambda: q_weight(1, "w", E), Weight(Fraction(1), 1100**1101)),
+            (lambda: p_weight("w + 1", range(192, 200)), Fraction(1, 192**194)),
+        ]
+        for evaluate, value in cases:
+            calls.clear()
+            assert evaluate() == value
+            assert len(calls) <= 2
 
 
 @st.composite
