@@ -14,19 +14,14 @@ finite.  Over these models:
   written on two-sided rows ``lo <= A x <= hi`` and goes through one
   call site, :func:`linprog`, scipy's ``milp`` with no integer variable.
   The certificate form runs as one epigraph LP, or as cutting planes
-  with HiGHS presolve off for blocks past ``MAX_EPIGRAPH_VARS`` or with
-  at least ``2*m*n`` sign rows (:func:`_takes_cutting`:
-  8x8 and 9x9 to 9x14, never ``m <= 7``; 8x8 86-128 ms by cutting
-  against 131-165 ms by the epigraph, 7x7 59-119 against 36-44 ms).
+  with HiGHS presolve off, by block shape (:func:`_takes_cutting` holds
+  the rule and its measurements).
 
 Weakly p-summing norms of vector and matrix families are provided with
 the budgets they admit: exact sign enumeration for the weak-1 norm, and
 seeded sampling plus local ascent for weak-2 lower bounds.  The signed
 sums of a weak-1 family share joint epigraph LPs, each filled up to
-``MAX_JOINT_EPIGRAPH_VARS`` epigraph variables, since a joint LP gains
-on small parts and loses on large ones (best of 5 on a 2-vCPU host,
-separate LPs against one joint LP: 32 x 3x3 59 -> 13 ms, 16 x 4x4 41 ->
-16 ms, 8 x 5x5 39 -> 27 ms, 4 x 6x6 51 -> 58 ms, 2 x 8x8 361 -> 494 ms).
+``MAX_JOINT_EPIGRAPH_VARS`` epigraph variables (see there for why).
 """
 
 from __future__ import annotations
@@ -59,16 +54,15 @@ __all__ = [
 MAX_LP_SIDE = 10  # enumeration side: 2^(side-1) sign vectors
 MAX_LP_ENTRIES = 1 << 14
 MAX_EPIGRAPH_VARS = 1 << 12
-"""The most epigraph variables ``P*n`` of an epigraph LP.  A block past
-it, or with ``P = 2^(m-1) >= 2*m*n`` sign rows, takes cutting planes
-(:func:`_takes_cutting`; 8x8 86-128 ms against 131-165 ms by the
-epigraph), and every block with ``m <= 7`` within it the epigraph LP
-(7x7 36-44 ms against 59-119 ms by cutting)."""
+"""The most epigraph variables ``P*n`` (:func:`_epigraph_vars`) of an
+epigraph LP; a block past it takes cutting planes (:func:`_takes_cutting`)."""
 MAX_JOINT_EPIGRAPH_VARS = 1 << 9
 """The most epigraph variables ``sum P*n`` (:func:`_epigraph_vars`) that
-blocks share in one joint LP (:meth:`PiSolver._lp`); a block past it is
-an LP of its own.  In the crossover table of :class:`PiSolver`, 16 x 4x4
-(512) still gains and 4 x 6x6 (768) already loses."""
+blocks share in one joint LP (:func:`_lp`); a block past it is an LP of
+its own.  A joint LP gains on small parts and loses on large ones: best
+of 5 on a 2-vCPU host, separate LPs against one joint LP, 32 x 3x3 59 ->
+13 ms, 16 x 4x4 (512) 41 -> 16 ms, 8 x 5x5 39 -> 27 ms, 4 x 6x6 (768) 51
+-> 58 ms, 2 x 8x8 361 -> 494 ms."""
 MAX_CONSTRAINTS = 1 << 18
 MAX_SIGN_FAMILY = 8
 ASCENT_STEPS = 8  # certificate-gradient steps from each weak-2 start
@@ -88,8 +82,7 @@ def _takes_cutting(m: int, n: int) -> bool:
     ms, 7x12 96 against 955, 8x8 131-165 against 86-128, 8x9 178-210
     against 67-108, 8x10 188-264 against 216-688, 9x9 612-800 against
     191-397 ms, 9x10 cutting in 2 of 3 draws)."""
-    P = 1 << (m - 1)
-    return P * n > MAX_EPIGRAPH_VARS or P >= 2 * m * n
+    return _epigraph_vars(m, n) > MAX_EPIGRAPH_VARS or 1 << (m - 1) >= 2 * m * n
 
 
 class BudgetError(ValueError):
@@ -492,8 +485,7 @@ def linprog(
 
 
 def _build_epigraph(m: int, n: int):
-    """The l1-epigraph LP of the m x n model as ``(A, lo, hi, bounds)``,
-    or None past ``MAX_EPIGRAPH_VARS``.
+    """The l1-epigraph LP of the m x n model as ``(A, lo, hi, bounds)``.
 
     |eps^T B delta| <= 1 for all delta is the l1 bound ||B^T eps||_1 <= 1.
     Each entry ``(eps_p^T B)_j`` is split as ``a_pj - c_pj`` with
@@ -502,9 +494,7 @@ def _build_epigraph(m: int, n: int):
     negative parts of a feasible B are feasible, so the optimum is the
     same as with one absolute-value row per sign.  An exact single LP
     with no constraint generation; the structure is
-    objective-independent, so a solver builds it once per shape."""
-    if _epigraph_vars(m, n) > MAX_EPIGRAPH_VARS:
-        return None
+    objective-independent, so :func:`_lp` builds it once per shape."""
     E = _signs(m, fix_first=True)
     P = len(E)
     # Row p*n + j reads (eps_p^T B)_j - a_pj + c_pj = 0, and row P*n + p
@@ -596,6 +586,74 @@ def _solve_epigraphs(mats: list[np.ndarray], parts) -> list[tuple[float, np.ndar
     return [(float(np.sum(B * W)), B) for W, B in zip(mats, Bs)]
 
 
+def _lp(mats: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
+    """Value and ``B`` of each model (no more rows than columns): those
+    that :func:`_takes_cutting` turns away by cutting planes, one at a
+    time; the rest in joint epigraph LPs, filled in order, each within
+    ``MAX_JOINT_EPIGRAPH_VARS`` unless one model alone is past it.  Each
+    shape's epigraph LP is built once per call."""
+    epigraphs, chunks, size = {}, [], MAX_JOINT_EPIGRAPH_VARS
+    for i, W in enumerate(mats):
+        if _takes_cutting(*W.shape):
+            continue
+        if W.shape not in epigraphs:
+            epigraphs[W.shape] = _build_epigraph(*W.shape)
+        more = _epigraph_vars(*W.shape)
+        if size + more > MAX_JOINT_EPIGRAPH_VARS:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(i)
+        size += more
+    solved = {}
+    for chunk in chunks:
+        Ws = [mats[i] for i in chunk]
+        solved.update(zip(chunk, _solve_epigraphs(Ws, [epigraphs[W.shape] for W in Ws])))
+    return [solved[i] if i in solved else _solve_cutting(W) for i, W in enumerate(mats)]
+
+
+def _solve_cutting(U: np.ndarray) -> tuple[float, np.ndarray]:
+    m, n = U.shape
+    E = _signs(m, fix_first=True)
+    rows, seen = [], set()
+
+    def add_cut(cut: np.ndarray) -> bool:
+        key = cut.tobytes()
+        if key in seen:
+            return False
+        seen.add(key)
+        rows.append(cut.reshape(-1))
+        return True
+
+    W = _scaled(U)  # the cut signs of U, with no overflow
+    cost = -W.reshape(-1)
+    for e in E:
+        row = e @ W
+        add_cut(np.outer(e, np.sign(row) + (row == 0)))
+    for _ in range(300):
+        ones = np.ones(len(rows))
+        res = linprog(
+            cost, np.vstack(rows), -ones, ones, np.array([[-1.0, 1.0]]), presolve=False
+        )
+        B = res.x.reshape(m, n)
+        Z = E @ B
+        viol = np.abs(Z).sum(axis=1)
+        order = np.argsort(viol)[::-1]
+        added = 0
+        for idx in order[:64]:
+            if viol[idx] <= 1 + 1e-9:
+                break
+            delta = np.sign(Z[idx]) + (Z[idx] == 0)
+            if add_cut(np.outer(E[idx], delta)):
+                added += 1
+        if added == 0:
+            if viol.max() > 1 + 1e-6:
+                raise RuntimeError("projective-norm LP stalled above tolerance")
+            break
+    else:
+        raise RuntimeError("projective-norm LP did not converge")
+    return float(np.sum(B * U)), B
+
+
 class PiSolver:
     """Exact projective-norm solver over finite sup-norm models.
 
@@ -614,10 +672,7 @@ class PiSolver:
       with HiGHS presolve off (best of 5: the 10x10 dense model of the
       benchmark 388 -> 343 ms, a dense 8x8 55 -> 44 ms).
 
-    The route goes by block shape (:func:`_takes_cutting`): cutting
-    planes past ``MAX_EPIGRAPH_VARS`` or with ``2^(m-1) >= 2*m*n`` sign
-    rows (8x8 86-128 ms against 131-165 ms by the epigraph), the epigraph
-    LP for every other block (7x7 36-44 against 59-119 ms).  Both go to
+    The route goes by block shape (:func:`_takes_cutting`).  Both go to
     HiGHS through :func:`linprog`, and both produce a certificate
     feasible for every sign constraint and optimal over the full
     polytope.
@@ -631,16 +686,13 @@ class PiSolver:
     the shortcut only where ``||R||_1 <= RANK_ONE_TOL |p|``, a bound
     1000 times finer than the 1e-9 that the LP route is held to.
     The other blocks, rows (the smaller side) enumerated, are solved
-    together: their epigraph LPs in joint LPs, each the direct sum of
-    the next ones in order up to ``MAX_JOINT_EPIGRAPH_VARS`` epigraph
-    variables (a joint LP gains on small parts and loses on large ones:
-    best of 5 on a 2-vCPU host, separate LPs against one joint LP,
-    32 x 3x3 59 -> 13 ms, 16 x 4x4 41 -> 16 ms, 8 x 5x5 39 -> 27 ms,
-    4 x 6x6 51 -> 58 ms, 2 x 8x8 361 -> 494 ms), and the blocks that
-    take cutting planes one at a time.  :meth:`solve_all` does the same for many matrices
-    at once, each split into its normal form once, so that the blocks
-    of all of them share the joint LPs; the signed sums of a weak-1
-    family go this way.  The value is the
+    together by :func:`_lp`: their epigraph LPs in joint LPs, each the
+    direct sum of the next ones in order up to
+    ``MAX_JOINT_EPIGRAPH_VARS`` epigraph variables, and the blocks that
+    take cutting planes one at a time.  :meth:`solve_all` does the same
+    for many matrices at once, each split into its normal form once, so
+    that the blocks of all of them share the joint LPs; the signed sums
+    of a weak-1 family go this way.  The value is the
     largest block value, and the certificate is the winning block's
     ``B`` put back on the block's rows and columns with their signs,
     zero elsewhere, its bound recomputed by :func:`sign_norm`.  An LP is
@@ -663,51 +715,38 @@ class PiSolver:
     def __init__(self):
         self._solved: dict[tuple, tuple[float, DualCertificate]] = {}
         self._forms: dict[tuple, list[tuple[float, np.ndarray]]] = {}
-        self._epigraphs: dict[tuple[int, int], tuple | None] = {}
-
-    def _epigraph_of(self, m: int, n: int):
-        """The epigraph LP of the m x n model, or None where the block
-        takes cutting planes (:func:`_takes_cutting`)."""
-        if (m, n) not in self._epigraphs:
-            self._epigraphs[m, n] = None if _takes_cutting(m, n) else _build_epigraph(m, n)
-        return self._epigraphs[m, n]
 
     def solve(self, U: np.ndarray) -> tuple[float, DualCertificate]:
         """Optimal value and certificate; a matrix seen before by this
         solver returns its first answer without a new LP."""
         return self.solve_all([U])[0]
 
+    @np.errstate(over="ignore")
     def solve_all(self, Us) -> list[tuple[float, DualCertificate]]:
         """``[self.solve(U) for U in Us]``, with the LP blocks of all the
-        matrices not seen before solved together in joint LPs."""
+        matrices not seen before solved together: each is split into its
+        normal form once, and the LP blocks of every form not in
+        ``_forms`` go to :func:`_lp` at once.  Sums of entries near the
+        top of the float range may overflow on the way, harmlessly; a
+        value past the range raises ``ValueError`` in :meth:`_assemble`."""
         keys, new = [], {}
         for U in map(_as_array, Us):
             _check_lp_budget(*U.shape)
             keys.append((U.shape, U.tobytes()))
             if keys[-1] not in self._solved:
                 new.setdefault(keys[-1], U)
-        self._solve_new(new)
-        return [self._solved[key] for key in keys]
-
-    @np.errstate(over="ignore")
-    def _solve_new(self, mats: dict[tuple, np.ndarray]):
-        """Solve the matrices ``mats``, by their memo keys, into
-        ``_solved``: each is split into its normal form once, and the LP
-        blocks of every form not in ``_forms`` go to :meth:`_lp` at once.
-        Sums of entries near the top of the float range may overflow on
-        the way, harmlessly; a value past the range raises ``ValueError``
-        in :meth:`_assemble`."""
-        splits = {key: _rank_one_split(U) for key, U in mats.items()}
+        splits = {key: _rank_one_split(U) for key, U in new.items()}
         forms = {}
         for _, rest in splits.values():
             form = _form_key(rest)
             if rest and form not in self._forms:
                 forms[form] = rest
-        solved = iter(self._lp([b.matrix for rest in forms.values() for b in rest]))
+        solved = iter(_lp([b.matrix for rest in forms.values() for b in rest]))
         for form, rest in forms.items():
             self._forms[form] = [next(solved) for _ in rest]
-        for key, U in mats.items():
+        for key, U in new.items():
             self._solved[key] = self._assemble(U, *splits[key])
+        return [self._solved[key] for key in keys]
 
     def _assemble(self, U: np.ndarray, elementary: list, rest: list):
         """Value and certificate of U from its rank-one blocks and its LP
@@ -731,70 +770,6 @@ class PiSolver:
         if entry > value:
             value, B = entry, E
         return value, _certificate(B)
-
-    def _lp(self, mats: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
-        """Value and ``B`` of each model (no more rows than columns): those
-        that :func:`_takes_cutting` turns away by cutting planes, one at a
-        time; the rest in joint epigraph LPs, filled in order, each within
-        ``MAX_JOINT_EPIGRAPH_VARS`` unless one model alone is past it."""
-        parts = [self._epigraph_of(*W.shape) for W in mats]
-        chunks, size = [], MAX_JOINT_EPIGRAPH_VARS
-        for i, part in enumerate(parts):
-            if part is None:
-                continue
-            more = _epigraph_vars(*mats[i].shape)
-            if size + more > MAX_JOINT_EPIGRAPH_VARS:
-                chunks.append([])
-                size = 0
-            chunks[-1].append(i)
-            size += more
-        solved = {}
-        for chunk in chunks:
-            found = _solve_epigraphs([mats[i] for i in chunk], [parts[i] for i in chunk])
-            solved.update(zip(chunk, found))
-        return [solved[i] if i in solved else self._solve_cutting(W) for i, W in enumerate(mats)]
-
-    def _solve_cutting(self, U: np.ndarray) -> tuple[float, np.ndarray]:
-        m, n = U.shape
-        E = _signs(m, fix_first=True)
-        rows, seen = [], set()
-
-        def add_cut(cut: np.ndarray) -> bool:
-            key = cut.tobytes()
-            if key in seen:
-                return False
-            seen.add(key)
-            rows.append(cut.reshape(-1))
-            return True
-
-        W = _scaled(U)  # the cut signs of U, with no overflow
-        cost = -W.reshape(-1)
-        for e in E:
-            row = e @ W
-            add_cut(np.outer(e, np.sign(row) + (row == 0)))
-        for _ in range(300):
-            ones = np.ones(len(rows))
-            res = linprog(
-                cost, np.vstack(rows), -ones, ones, np.array([[-1.0, 1.0]]), presolve=False
-            )
-            B = res.x.reshape(m, n)
-            Z = E @ B
-            viol = np.abs(Z).sum(axis=1)
-            order = np.argsort(viol)[::-1]
-            added = 0
-            for idx in order[:64]:
-                if viol[idx] <= 1 + 1e-9:
-                    break
-                delta = np.sign(Z[idx]) + (Z[idx] == 0)
-                if add_cut(np.outer(E[idx], delta)):
-                    added += 1
-            if added == 0:
-                if viol.max() > 1 + 1e-6:
-                    raise RuntimeError("projective-norm LP stalled above tolerance")
-                break
-        else:
-            raise RuntimeError("projective-norm LP did not converge")
-        return float(np.sum(B * U)), B
 
 
 def _certificate(B: np.ndarray) -> DualCertificate:

@@ -53,18 +53,27 @@ __all__ = [
 
 
 def _square_free(r: int) -> tuple[int, int]:
-    """Write r = s*s*rad with rad square-free; returns (s, rad)."""
+    """Write r = s*s*rad with rad square-free; returns (s, rad).
+
+    Trial division; the whole power of a divisor d comes off by its
+    powers ``d^(2^i)``, largest first, reading the exponent e bit by bit
+    in O(log e) divisions.  A large prime factor p still takes O(sqrt p)."""
     if r < 1:
         raise ValueError("radicand must be positive")
     s, rad, d = 1, 1, 2
     while d * d <= r:
-        exp = 0
-        while r % d == 0:
-            r //= d
-            exp += 1
-        s *= d ** (exp // 2)
-        if exp % 2:
-            rad *= d
+        if r % d == 0:
+            powers = [d]
+            while r % (powers[-1] * powers[-1]) == 0:
+                powers.append(powers[-1] * powers[-1])
+            exp = 0
+            for i in reversed(range(len(powers))):
+                if r % powers[i] == 0:
+                    r //= powers[i]
+                    exp += 1 << i
+            s *= d ** (exp // 2)
+            if exp % 2:
+                rad *= d
         d += 1
     return s, rad * r
 
@@ -256,20 +265,14 @@ def q_prefix_weights(xi, zeta, E) -> list[Weight]:
 # -- averaging operators -----------------------------------------------
 
 
-def _default_scale(c, v):
-    return c * v
-
-
-def avg(xi, stream, u: Mapping, n: int, *, scale=None, max_elements=None):
+def avg(xi, stream, u: Mapping, n: int, *, max_elements=None):
     """The n-th level-xi average of the collection ``u`` along a stream.
 
     Sums ``p_weight(xi, F) * u[F]`` over initial segments F of the
     stream lying in the n-th maximal S_xi block.  Coefficients are exact
-    rationals; ``scale(c, v)`` can be supplied to control how they hit
-    the vectors.  Returns scalar 0 when every key is absent.
+    rationals.  Returns scalar 0 when every key is absent.
     """
     xi = as_ordinal(xi)
-    scale = scale or _default_scale
     blocks = decompose(Base(xi), stream, n, max_elements=max_elements)
     full = tuple(chain.from_iterable(blocks))
     ps = p_prefix_weights(xi, full)
@@ -279,7 +282,7 @@ def avg(xi, stream, u: Mapping, n: int, *, scale=None, max_elements=None):
         v = u.get(full[:j])
         if v is None:
             continue
-        term = scale(ps[j - 1], v)
+        term = ps[j - 1] * v
         acc = term if acc is None else acc + term
     return 0 if acc is None else acc
 
@@ -316,7 +319,7 @@ def avg2(xi, zeta, stream, u: Mapping, n: int, *, max_elements=None):
             continue
         w = q * p
         c = w.as_rational()
-        term = _default_scale(c if c is not None else float(w), v)
+        term = (c if c is not None else float(w)) * v
         acc = term if acc is None else acc + term
     return 0 if acc is None else acc
 

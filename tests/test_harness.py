@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -427,3 +428,19 @@ def test_benchmark_checks_catch_corrupted_results():
         cwd=root, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_module_entry_point_prints_csv():
+    # the README's `python -m ordtensor.harness`, run as a fresh process
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordtensor.harness", "verify", "families", "--format", "csv"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    header = proc.stdout.splitlines()[0]
+    assert header == "scenario,check,check_id,relation,computed,passed,exact,skipped,detail"
+    assert proc.stdout.splitlines()[1].startswith("families,")

@@ -328,7 +328,7 @@ class TestNormalForm:
         u = np.outer(x, y)
         (block,) = normal_form(u)
         assert block.matrix.shape == (10, 10)
-        assert tensor._build_epigraph(10, 10) is None
+        assert tensor._takes_cutting(10, 10)
         val, cert = pi_norm(u)
         assert val == np.abs(u).max()
         assert abs(val - np.abs(x).max() * np.abs(y).max()) < 1e-9
@@ -340,7 +340,7 @@ class TestNormalForm:
         u = np.random.default_rng(1002).uniform(-1, 1, (10, 10))
         (block,) = normal_form(u)
         assert block.matrix.shape == (10, 10)
-        assert tensor._build_epigraph(10, 10) is None
+        assert tensor._takes_cutting(10, 10)
         val, cert = pi_norm(u)
         assert linprog_calls
         assert val > np.abs(u).max()
@@ -585,7 +585,7 @@ class TestPiSolver:
         W = block.matrix
         assert W.shape == (m, n)
         [(want, _)] = tensor._solve_epigraphs([W], [tensor._build_epigraph(m, n)])
-        got, B = PiSolver()._solve_cutting(W)
+        got, B = tensor._solve_cutting(W)
         assert abs(got - want) < 1e-9
         assert sign_norm(B) <= 1 + 1e-9
 
@@ -604,17 +604,17 @@ class TestPiSolver:
         ]
         for m in (8, 9, 10):
             assert tensor._takes_cutting(m, m)
-        assert tensor._takes_cutting(7, 100) and tensor._build_epigraph(7, 100) is None
+        assert tensor._takes_cutting(7, 100)
 
     def test_dense_8x8_takes_the_cutting_route(self, monkeypatch):
         shapes = []
-        real = PiSolver._solve_cutting
+        real = tensor._solve_cutting
 
-        def spy(self, W):
+        def spy(W):
             shapes.append(W.shape)
-            return real(self, W)
+            return real(W)
 
-        monkeypatch.setattr(PiSolver, "_solve_cutting", spy)
+        monkeypatch.setattr(tensor, "_solve_cutting", spy)
         U = np.random.default_rng(1000).uniform(-1, 1, (8, 8))
         value, cert = pi_norm(U)
         assert shapes == [(8, 8)]
@@ -679,6 +679,11 @@ class TestPiSolver:
         forms.clear()
         assert solver.solve_all([v, w])[0] is got[1]
         assert len(forms) == 1  # only w is new
+
+    def test_solver_keeps_only_its_answers(self):
+        solver = PiSolver()
+        solver.solve_all([np.random.default_rng(7).uniform(-1, 1, (3, 4)), np.eye(2)])
+        assert sorted(vars(solver)) == ["_forms", "_solved"]
 
     def test_solve_all_checks_each_input_budget(self):
         with pytest.raises(BudgetError):
@@ -774,6 +779,32 @@ class TestWeakNorms:
         parts = [rows // 96 for rows, _ in shapes]
         assert 1 < len(parts) < 8 and sum(parts) == 8
         assert all(n * 80 <= MAX_JOINT_EPIGRAPH_VARS for n in parts)
+        assert abs(value - weak_1_reference(us)) < 1e-9
+
+    def test_weak1_builds_each_epigraph_shape_once(self, monkeypatch):
+        # 8 signed sums, each a dense 3x3 block beside a dense 5x5 block:
+        # 8 * (12 + 80) epigraph variables fill two joint LPs, and each
+        # of the two shapes is built once for both
+        built = []
+        real = tensor._build_epigraph
+
+        def spy(m, n):
+            built.append((m, n))
+            return real(m, n)
+
+        monkeypatch.setattr(tensor, "_build_epigraph", spy)
+        local = np.random.default_rng(56)
+        us = []
+        for _ in range(4):
+            u = np.zeros((8, 8))
+            u[:3, :3] = local.uniform(-1, 1, (3, 3))
+            u[3:, 3:] = local.uniform(-1, 1, (5, 5))
+            us.append(u)
+        assert 8 * (12 + 80) > MAX_JOINT_EPIGRAPH_VARS
+        with counting_linprog() as calls:
+            value = weak_1_norm_pi(us)
+        assert len(calls) == 2
+        assert sorted(built) == [(3, 3), (5, 5)]
         assert abs(value - weak_1_reference(us)) < 1e-9
 
     def test_empty_family_is_refused(self):

@@ -3,12 +3,13 @@ from fractions import Fraction
 from itertools import accumulate, chain, count
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ordtensor.ordinal import OMEGA, Ordinal, parse_ordinal
 from ordtensor.schreier import Base, BudgetExceeded, Conv, decompose, split_blocks
 from ordtensor.weights import (
     PermReport,
+    _square_free,
     RadicalSum,
     Weight,
     avg,
@@ -53,6 +54,25 @@ class TestWeight:
 
     def test_float(self):
         assert math.isclose(float(Weight(Fraction(1), 3)), 1 / math.sqrt(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from([2, 3, 5, 7, 11, 13, 101, 1009]),
+            st.integers(1, 4000),
+            max_size=5,
+        ),
+        st.sampled_from([1, 10007]),
+    )
+    @example({2: 2202, 5: 2202, 11: 1101}, 1)  # 1100**1101
+    @example({}, 1)
+    def test_square_free_matches_the_factorization(self, exponents, tail):
+        r, s, rad = tail, 1, tail
+        for p, e in exponents.items():
+            r *= p**e
+            s *= p ** (e // 2)
+            rad *= p ** (e % 2)
+        assert _square_free(r) == (s, rad)
 
 
 class TestRadicalSum:
@@ -202,7 +222,7 @@ class TestAvg:
         import numpy as np
 
         u = {F: np.ones(2) for F in [(3,), (3, 4), (3, 4, 5)]}
-        out = avg(1, count(3), u, 1, scale=lambda c, v: float(c) * v)
+        out = avg(1, count(3), u, 1)
         assert np.allclose(out, np.ones(2))
 
 
