@@ -8,7 +8,7 @@ Infinite sets are represented by caller-supplied iterators of strictly
 increasing positive integers.
 
 The recursive definitions are evaluated through a single primitive: the
-length of the greedy maximal block of a sequence starting at a given
+end of the greedy maximal block of a sequence starting at a given
 position.  A set belongs to a family exactly when it is an initial
 segment of such a block; because the families are hereditary and
 spreading, the greedy split into maximal blocks is canonical.  The test
@@ -124,17 +124,6 @@ def level_step(level: Ordinal, m: int) -> tuple[Ordinal, int]:
     return _diagonal(level, m), 1
 
 
-class _TupleSource:
-    """Finite sequence adapter; IndexError signals a cut (partial) block,
-    and ``end()`` is then the first missing index."""
-
-    __slots__ = ("get", "end")
-
-    def __init__(self, seq: tuple[int, ...]):
-        self.get = seq.__getitem__
-        self.end = seq.__len__
-
-
 def _base_block_end(xi: Ordinal, source, start: int) -> int:
     """Index just past the maximal S_xi block of the source from ``start``.
 
@@ -156,13 +145,13 @@ def _base_block_end(xi: Ordinal, source, start: int) -> int:
         if level.is_zero():
             stack.pop()
             try:
-                source.get(pos + frame[1] - 1)
+                source[pos + frame[1] - 1]
             except IndexError:
-                return source.end()  # the source ends inside the run
+                return len(source)  # the source ends inside the run
             pos += frame[1]
             continue
         try:
-            m = source.get(pos)
+            m = source[pos]
         except IndexError:
             return pos
         frame[1] -= 1
@@ -183,10 +172,10 @@ class _MinimaView:
         self._source = source
         self._positions = [start]
 
-    def get(self, i: int) -> int:
-        return self._source.get(self.position(i))
+    def __getitem__(self, i: int) -> int:
+        return self._source[self.position(i)]
 
-    def end(self) -> int:
+    def __len__(self) -> int:
         """The first missing index, once a read has failed: positions
         stop at the first one past the source's end."""
         return len(self._positions) - 1
@@ -204,25 +193,17 @@ class _MinimaView:
 def _take_block(fam: Family, source, start: int) -> int:
     """Index just past the maximal fam-block starting at ``start``.
 
-    Pulls exactly the elements it needs from the source.  Against a live
-    stream the block returned is a complete maximal member (the stream
-    raises on exhaustion); against a finite :class:`_TupleSource` an
-    exhausted sequence cuts the block short at its end.
+    The walker reads its source only by index.  A finite source (a
+    tuple) signals its end by raising IndexError, and ``len(source)`` is
+    then the first missing index: the block is cut short there.  A live
+    stream (:class:`_Buffered`) raises on exhaustion instead, so the
+    block returned is a complete maximal member.  Pulls exactly the
+    elements it needs.
     """
     if isinstance(fam, Base):
         return _base_block_end(fam.xi, source, start)
     view = _MinimaView(fam.xi, source, start)
     return view.position(_base_block_end(fam.zeta, view, 0))
-
-
-def _block_len(fam: Family, seq: tuple[int, ...], start: int) -> int:
-    """Length of the greedy fam-block of ``seq`` beginning at ``start``.
-
-    The block is the maximal member of ``fam`` that the elements
-    ``seq[start:]`` begin to spell out; if the sequence ends first, the
-    (partial) remainder consumed so far is returned.
-    """
-    return _take_block(fam, _TupleSource(seq), start) - start
 
 
 def member(fam: Family, E: Iterable[int]) -> bool:
@@ -235,7 +216,7 @@ def member(fam: Family, E: Iterable[int]) -> bool:
 def _member(fam: Family, E: tuple[int, ...]) -> bool:
     if not E:
         return True
-    return _block_len(fam, E, 0) == len(E)
+    return _take_block(fam, E, 0) == len(E)
 
 
 def is_maximal(fam: Family, E: Iterable[int]) -> bool:
@@ -269,7 +250,7 @@ def _split(fam: Family, E: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     blocks = []
     i = 0
     while i < len(E):
-        j = i + _block_len(fam, E, i)
+        j = _take_block(fam, E, i)
         blocks.append(E[i:j])
         i = j
     return tuple(blocks)
@@ -292,7 +273,7 @@ class _Buffered:
         self._buf: list[int] = []
         self._budget = max_elements
 
-    def get(self, i: int) -> int:
+    def __getitem__(self, i: int) -> int:
         buf = self._buf
         if i < len(buf):
             return buf[i]
@@ -317,7 +298,7 @@ class _Buffered:
         return buf[i]
 
     def slice(self, start: int, end: int) -> tuple[int, ...]:
-        self.get(end - 1)
+        self[end - 1]
         return tuple(self._buf[start:end])
 
 
@@ -385,16 +366,18 @@ def node_rank_exact(fam: Family, E: Iterable[int]) -> Ordinal:
     )
 
 
-def least_shift(xi, zeta, bound: int = 10) -> int | None:
+def least_shift(xi, zeta, bound: int = 10) -> int:
     """Least k such that every S_xi set within [k, bound] is in S_zeta.
 
-    Empirical search on the finite ground set [1, bound]; returns None
-    when no such k exists below the bound.
+    Empirical search on the finite ground set [1, bound].  Singletons lie
+    in every family, so k = bound always qualifies and the search ends.
     """
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, got {bound}")
     fam_xi, fam_zeta = Base(as_ordinal(xi)), Base(as_ordinal(zeta))
     from itertools import combinations
 
-    for k in range(1, bound + 2):
+    for k in range(1, bound + 1):
         ok = True
         for size in range(1, bound - k + 2):
             for E in combinations(range(k, bound + 1), size):
@@ -405,7 +388,6 @@ def least_shift(xi, zeta, bound: int = 10) -> int | None:
                 break
         if ok:
             return k
-    return None
 
 
 # -- descriptor text syntax -------------------------------------------

@@ -120,7 +120,7 @@ class TestReports:
         r.compare("b", "id", "<= 1", 1 / 3, "<=", 1, ".6f")
         r.compare("c", "id", "<= w", 0.25, "<=", 0.5, "{value:.2f} (w {bound:.1f})", tol=1e-9)
         r.compare("d", "id", ">= 1", 1.0, ">=", 1, "{q}, {value}", also={"q": (Fraction(1), "==", 1)})
-        r.compare("e", "id", "exists", None, "is not", None)
+        r.compare("e", "id", "exists", None, "is", True)
         r.holds("f", "id", "holds", True)
         assert [c.computed for c in r.checks] == [
             "1/3", "0.333333", "0.25 (w 0.5)", "1, 1.0", "None", "True"
@@ -386,12 +386,15 @@ class TestCliInputErrors:
             ["tensor", "weakp", "--p", "2", "--samples", "-3",
              "--matrices", "[[[1,0.5],[0,1]],[[0,1],[1,0]]]"],
             ["tensor", "pi", "--matrix", "[[1e308,1e308],[1e308,-1e308]]"],
+            ["verify", "perm", "--block-budget", "-5"],
+            ["verify", "sharpness", "--xi", "1", "--block-budget", "0"],
         ],
         ids=["family", "set-order", "ragged-matrix", "verify-perm-blocks-0", "budget",
              "stream-exhausted", "empty-weak-1-family", "empty-weak-2-family",
              "unsupported-gamma", "unsupported-zeta", "eps-zero-denominator",
              "eps-negative", "non-numeric-matrix", "scalar-family", "lower-samples-0",
-             "groth-samples-negative", "weak-2-samples-negative", "pi-past-float-range"],
+             "groth-samples-negative", "weak-2-samples-negative", "pi-past-float-range",
+             "perm-block-budget-negative", "sharpness-block-budget-0"],
     )
     def test_exit_code_two(self, argv, capsys):
         assert main(argv) == 2

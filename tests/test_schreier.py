@@ -21,7 +21,7 @@ from ordtensor.schreier import (
     parse_family,
     split_blocks,
 )
-from ordtensor.schreier import _block_len, _take_block
+from ordtensor.schreier import _take_block
 
 from oracles import (
     brute_member,
@@ -270,7 +270,7 @@ class TestStepwiseAgreement:
     @given(families, increasing_tuples(), st.data())
     def test_block_len(self, fam, seq, data):
         start = data.draw(st.integers(0, len(seq)))
-        assert _block_len(fam, seq, start) == stepwise_block_len(fam, seq, start)
+        assert _take_block(fam, seq, start) - start == stepwise_block_len(fam, seq, start)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -315,11 +315,11 @@ class TestStepwiseAgreement:
         reads = []
 
         class Source:
-            def get(self, i):
+            def __getitem__(self, i):
                 reads.append(i)
                 return seq[i]
 
-            def end(self):
+            def __len__(self):
                 return len(seq)
 
         seq = (10**6, 10**6 + 1)
@@ -331,7 +331,7 @@ class TestStepwiseAgreement:
         # elements and the second runs to the end of the set; a walker
         # that dropped a frame's remaining count would stop at 2046
         seq = tuple(range(2, 6000))
-        assert _block_len(Base(OMEGA + 1), seq, 0) == stepwise_block_len(
+        assert _take_block(Base(OMEGA + 1), seq, 0) == stepwise_block_len(
             Base(OMEGA + 1), seq, 0
         ) == 5998
 
@@ -451,8 +451,20 @@ class TestRegularity:
                 assert member(fam, spread)
 
     def test_inclusion_shift_exists(self):
-        assert least_shift(1, 2, bound=10) is not None
-        assert least_shift(1, OMEGA, bound=10) is not None
+        # the definition read off all subsets of [1, 10]: a set of S_xi
+        # outside S_zeta rules out every k up to its minimum
+        for xi, zeta, k in [(1, 2, 1), (1, OMEGA, 1), (2, 1, 6)]:
+            escapes = [
+                E for E in subsets(range(1, 11))
+                if E and brute_member(Base(xi), E) and not brute_member(Base(zeta), E)
+            ]
+            least = max((E[0] for E in escapes), default=0) + 1
+            assert least_shift(xi, zeta, bound=10) == least == k
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_inclusion_shift_needs_a_positive_bound(self, bound):
+        with pytest.raises(ValueError):
+            least_shift(1, 2, bound=bound)
 
 
 class TestDescriptorSyntax:

@@ -421,20 +421,35 @@ class TestNormalForm:
         U, V = pair
         assert _blocks(normal_form(U)) == _blocks(normal_form(V))
 
-    def test_symmetric_models_are_canonical(self):
+    def test_symmetric_models_are_canonical(self, monkeypatch):
         # ties that no refinement splits; the search prunes by symmetries,
-        # and a missed one costs time rather than the result
+        # and a missed one costs time rather than the result, so each
+        # search is held to a count of leaves: at most 20 here, where a
+        # leaf key blind to the signs needs over a hundred
+        leaves, leaf_key = [], tensor._leaf_key
+
+        def counting(*args):
+            leaves.append(None)
+            return leaf_key(*args)
+
+        def searched(U):
+            leaves.clear()
+            blocks = _blocks(normal_form(U))
+            assert len(leaves) <= 20
+            return blocks
+
+        monkeypatch.setattr(tensor, "_leaf_key", counting)
         H = np.kron(np.kron([[1.0, 1], [1, -1]], [[1, 1], [1, -1]]), [[1, 1], [1, -1]])
         cycle = np.eye(10) + np.roll(np.eye(10), 1, axis=1)
         local = np.random.default_rng(11)
         for U in (H, np.ones((10, 10)) - np.eye(10), cycle, 2 * np.eye(10) - cycle):
-            want = _blocks(normal_form(U))
+            want = searched(U)
             for _ in range(3):
                 m, n = U.shape
                 V = U[local.permutation(m)][:, local.permutation(n)]
                 V = V * local.choice([-1.0, 1.0], (m, 1)) * local.choice([-1.0, 1.0], n)
-                assert _blocks(normal_form(V)) == want
-                assert _blocks(normal_form(V.T)) == want
+                assert searched(V) == want
+                assert searched(V.T) == want
 
     @settings(max_examples=40, deadline=None)
     @given(padded_block_models())
