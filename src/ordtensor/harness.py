@@ -23,7 +23,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import chain, count
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .schreier import (
     is_maximal,
     least_shift,
     member,
+    members,
     parse_family,
     split_blocks,
 )
@@ -59,7 +60,7 @@ from .tensor import (
     weak_1_norm_pi,
     weak_2_norm_pi_lower,
 )
-from .trees import block_map_path, build_tree, cantor_scheme
+from .trees import block_map_path, build_tree, cantor_scheme, scheme_of
 from .weights import (
     RadicalSum,
     Weight,
@@ -287,12 +288,6 @@ def run_perm_suite(cfg: ScenarioConfig, rep: Report):
 # -- family structure suite ----------------------------------------------
 
 
-def _subsets(ground: Iterable[int]):
-    ground = tuple(ground)
-    for mask in range(1 << len(ground)):
-        yield tuple(g for i, g in enumerate(ground) if mask >> i & 1)
-
-
 def _hereditary(members: set[tuple[int, ...]]) -> bool:
     """Whether the set system contains every subset of its members.
 
@@ -334,30 +329,27 @@ def run_family_suite(cfg: ScenarioConfig, rep: Report):
         Conv(1, 1),
         Conv(2, 1),
     ]
-    for fam in families:
-        members = {E for E in _subsets(ground) if member(fam, E)}
+    tables = {fam: members(fam, ground) for fam in families}
+    for fam, table in tables.items():
         rep.holds(
             f"hereditary {family_str(fam)}",
             "family-hereditary",
             "all subsets of members are members",
-            _hereditary(members),
-            detail=f"{len(members)} members of [1,10]",
+            _hereditary(table),
+            detail=f"{len(table)} members of [1,10]",
         )
         rep.holds(
             f"spreading {family_str(fam)}",
             "family-spreading",
             "all spreads of members are members",
-            _spreading(members, 10),
+            _spreading(table, 10),
         )
     for xi in (0, 1, 2):
         rep.holds(
             f"successor identity xi={xi}",
             "family-successor-convolution",
             "S_(xi+1) == S_1[S_xi] on subsets of [1,10]",
-            all(
-                member(Base(xi + 1), E) == member(Conv(1, xi), E)
-                for E in _subsets(ground)
-            ),
+            tables[Base(xi + 1)] == members(Conv(1, xi), ground),
         )
     for lo, hi in [(1, 2), (2, 3), (1, OMEGA), (3, OMEGA), (OMEGA, OMEGA + 1)]:
         rep.compare(
@@ -371,6 +363,7 @@ def run_family_suite(cfg: ScenarioConfig, rep: Report):
     # empirical check of the characteristic-sequence inclusion for the
     # standard fundamental sequences (open question; report only)
     bound = 8
+    small = range(1, bound + 1)
     for lam in (OMEGA, OMEGA.mul_nat(2), omega_pow(2), omega_pow(2) + OMEGA):
         for n in (1, 2, 3):
             fam_lo = Base(lam.fundamental(n) + ONE)
@@ -379,11 +372,7 @@ def run_family_suite(cfg: ScenarioConfig, rep: Report):
                 f"fundamental inclusion {lam} at n={n}",
                 "fundamental-sequence-inclusion",
                 f"S[{lam.fundamental(n) + ONE}] within [1,{bound}] is inside S[{lam.fundamental(n + 1)}]",
-                all(
-                    member(fam_hi, E)
-                    for E in _subsets(range(1, bound + 1))
-                    if member(fam_lo, E)
-                ),
+                members(fam_lo, small) <= members(fam_hi, small),
             )
 
 
@@ -461,10 +450,10 @@ def run_sharpness(cfg: ScenarioConfig, rep: Report):
         if guard > 64:
             raise RuntimeError("maximal extension did not terminate")
     depth = len(t_last)
-    scheme = cantor_scheme(tree, t_last)
+    branch_funcs = [tree.node_function(p) for p in tree.branch(t_last)]
+    scheme = scheme_of(branch_funcs)
     selector = default_selector(scheme)
     mus = rademacher(scheme, selector)
-    branch_funcs = [tree.node_function(t_last[:i]) for i in range(1, depth + 1)]
     rep.holds(
         "scheme compatibility",
         "cantor-scheme-compatibility",
@@ -807,10 +796,10 @@ def run_lower_bound_probe(cfg: ScenarioConfig, rep: Report):
     rng = np.random.default_rng(cfg.seed)
     tree = build_tree(1, max_root=4)
     branch = (Ordinal.from_int(2), Ordinal.from_int(1), Ordinal.from_int(0))
-    scheme = cantor_scheme(tree, branch)
+    funcs = [tree.node_function(p) for p in tree.branch(branch)]
+    scheme = scheme_of(funcs)
     selector = default_selector(scheme)
     mus = rademacher(scheme, selector)
-    funcs = [tree.node_function(p) for p in tree.branch(branch)]
     atoms = [selector[d] for d in scheme.leaves()]
     for trial in range(trials):
         m = 3

@@ -33,6 +33,7 @@ __all__ = [
     "StreamExhausted",
     "BudgetExceeded",
     "member",
+    "members",
     "is_maximal",
     "split_blocks",
     "decompose",
@@ -219,6 +220,27 @@ def _member(fam: Family, E: tuple[int, ...]) -> bool:
     return _take_block(fam, E, 0) == len(E)
 
 
+def members(fam: Family, ground: Iterable[int]) -> set[tuple[int, ...]]:
+    """Every member of the family inside a finite ground set, ``()`` too.
+
+    The walker reads its source by index, so its walk of a prefix of E
+    stops at the prefix's end unless the walk of E stops earlier: every
+    prefix of a member is a member.  The members therefore form a tree
+    from ``()``, walked here by trying ``E + (g,)`` only for members E.
+    """
+    ground = as_finite_set(ground)
+    found = {()}
+    stack = [((), 0)]
+    while stack:
+        E, i = stack.pop()
+        for j in range(i, len(ground)):
+            F = E + (ground[j],)
+            if _member(fam, F):
+                found.add(F)
+                stack.append((F, j + 1))
+    return found
+
+
 def is_maximal(fam: Family, E: Iterable[int]) -> bool:
     """True iff E is a maximal member (no extension stays in the family).
 
@@ -315,10 +337,13 @@ def decompose(
     is an initial segment of the stream.  Raises
     :class:`StreamExhausted` if the stream ends first, and
     :class:`BudgetExceeded` if ``max_elements`` is hit; either way the
-    exception's ``blocks`` holds the blocks completed before it.
+    exception's ``blocks`` holds the blocks completed before it.  A
+    ``k`` or ``max_elements`` below 1 raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if max_elements is not None and max_elements < 1:
+        raise ValueError(f"block budget max_elements must be at least 1, got {max_elements}")
     bs = _Buffered(stream, max_elements)
     blocks = []
     pos = 0
@@ -369,25 +394,15 @@ def node_rank_exact(fam: Family, E: Iterable[int]) -> Ordinal:
 def least_shift(xi, zeta, bound: int = 10) -> int:
     """Least k such that every S_xi set within [k, bound] is in S_zeta.
 
-    Empirical search on the finite ground set [1, bound].  Singletons lie
-    in every family, so k = bound always qualifies and the search ends.
+    Empirical search on the finite ground set [1, bound]: a set of S_xi
+    outside S_zeta rules out every k up to its minimum.  Singletons lie
+    in every family, so k = bound always qualifies.
     """
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
-    fam_xi, fam_zeta = Base(as_ordinal(xi)), Base(as_ordinal(zeta))
-    from itertools import combinations
-
-    for k in range(1, bound + 1):
-        ok = True
-        for size in range(1, bound - k + 2):
-            for E in combinations(range(k, bound + 1), size):
-                if _member(fam_xi, E) and not _member(fam_zeta, E):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return k
+    ground = range(1, bound + 1)
+    escapes = members(Base(as_ordinal(xi)), ground) - members(Base(as_ordinal(zeta)), ground)
+    return max((E[0] for E in escapes), default=0) + 1
 
 
 # -- descriptor text syntax -------------------------------------------

@@ -36,6 +36,7 @@ __all__ = [
     "build_tree",
     "rank_finite",
     "cantor_scheme",
+    "scheme_of",
     "block_map_path",
     "BoundsError",
 ]
@@ -273,16 +274,21 @@ def rank_finite(nodes: Iterable[tuple]) -> int:
 
 
 def cantor_scheme(handle: TreeHandle, branch: Node) -> CantorScheme:
-    """The Cantor scheme compatible with the functions along a maximal branch.
+    """The Cantor scheme compatible with the functions along a maximal branch."""
+    if not handle.is_max(branch):
+        raise ValueError(f"{branch} is not a maximal node")
+    return scheme_of([handle.node_function(p) for p in handle.branch(branch)])
+
+
+def scheme_of(funcs: list[StepFunction]) -> CantorScheme:
+    """The Cantor scheme compatible with the functions of a maximal branch,
+    root first.
 
     The root cell is the support of the first function; each child cell
     intersects with the next function's preimage of the sign.  The
     nesting, disjointness, and non-emptiness of every cell are validated
     on construction, and compatibility holds by construction.
     """
-    if not handle.is_max(branch):
-        raise ValueError(f"{branch} is not a maximal node")
-    funcs = [handle.node_function(p) for p in handle.branch(branch)]
     cells = {(): funcs[0].support()}
     for depth, f in enumerate(funcs):
         # each parent cell is met only with the preimage pieces inside

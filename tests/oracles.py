@@ -405,6 +405,8 @@ class StepwiseStream:
 
 def stepwise_decompose(fam, stream, k: int, *, max_elements=None):
     """First k blocks of the decomposition, walked and read stepwise."""
+    if max_elements is not None and max_elements < 1:
+        raise ValueError(f"block budget max_elements must be at least 1, got {max_elements}")
     bs = StepwiseStream(stream, max_elements)
     blocks = []
     pos = 0

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ordtensor.harness as harness
+import ordtensor.schreier as schreier
 from ordtensor.harness import (
     Check,
     Report,
@@ -164,6 +165,21 @@ class TestScenarios:
 
     def test_family_suite(self):
         assert run_family_suite(ScenarioConfig()).passed()
+
+    def test_family_suite_walks_members(self, monkeypatch):
+        # the walk tries extensions of members only; testing every subset
+        # of [1,10] one by one takes 11886 block walks
+        schreier._member.cache_clear()
+        walks = []
+        take_block = schreier._take_block
+
+        def spy(fam, source, start):
+            walks.append(fam)
+            return take_block(fam, source, start)
+
+        monkeypatch.setattr(schreier, "_take_block", spy)
+        assert run_family_suite(ScenarioConfig()).passed()
+        assert len(walks) <= 8500
 
     def test_perm_suite_rejects_empty_block_count(self):
         for blocks in (0, -1):
@@ -388,13 +404,18 @@ class TestCliInputErrors:
             ["tensor", "pi", "--matrix", "[[1e308,1e308],[1e308,-1e308]]"],
             ["verify", "perm", "--block-budget", "-5"],
             ["verify", "sharpness", "--xi", "1", "--block-budget", "0"],
+            ["schreier", "decompose", "--family", "S[1]", "--stream", "3",
+             "--block-budget", "0"],
+            ["schreier", "decompose", "--family", "S[1]", "--stream", "3",
+             "--block-budget", "-5"],
         ],
         ids=["family", "set-order", "ragged-matrix", "verify-perm-blocks-0", "budget",
              "stream-exhausted", "empty-weak-1-family", "empty-weak-2-family",
              "unsupported-gamma", "unsupported-zeta", "eps-zero-denominator",
              "eps-negative", "non-numeric-matrix", "scalar-family", "lower-samples-0",
              "groth-samples-negative", "weak-2-samples-negative", "pi-past-float-range",
-             "perm-block-budget-negative", "sharpness-block-budget-0"],
+             "perm-block-budget-negative", "sharpness-block-budget-0",
+             "decompose-block-budget-0", "decompose-block-budget-negative"],
     )
     def test_exit_code_two(self, argv, capsys):
         assert main(argv) == 2
@@ -403,6 +424,8 @@ class TestCliInputErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ordtensor: error: ")
         assert "Traceback" not in captured.err
+        if "--block-budget" in argv and int(argv[argv.index("--block-budget") + 1]) < 1:
+            assert "budget" in lines[0]
 
     @pytest.mark.parametrize(
         "argv",

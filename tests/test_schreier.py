@@ -17,6 +17,7 @@ from ordtensor.schreier import (
     least_shift,
     level_step,
     member,
+    members,
     node_rank_exact,
     parse_family,
     split_blocks,
@@ -153,6 +154,12 @@ class TestDecompose:
             decompose(Base(1), iter([3, 3, 4]), 1)
         with pytest.raises(BudgetExceeded):
             decompose(Base(2), count(3), 2, max_elements=100)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_refused(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            decompose(Base(1), count(3), 1, max_elements=budget)
+        assert decompose(Base(0), count(3), 1, max_elements=1) == ((3,),)
 
     def test_stream_elements_must_be_integers(self):
         for bad in ([2.5, 3.9, 4.2, 5.0, 6.1], ["2", "3"]):
@@ -339,6 +346,39 @@ class TestStepwiseAgreement:
         for fam in (Base(2), Conv(1, 1), Base(OMEGA)):
             got, pulled = outcome(decompose, fam, count(3), 2, 40)
             assert got[0] is BudgetExceeded and pulled == 40
+
+
+class TestMembers:
+    """The walk by extension finds exactly the members of a ground set."""
+
+    FAMS = [Base(0), Base(1), Base(2), Base(3), Base(OMEGA), Base(OMEGA + 1),
+            Conv(1, 0), Conv(1, 1), Conv(2, 1), Conv(1, 2)]
+
+    @pytest.mark.parametrize("fam", FAMS, ids=family_str)
+    def test_matches_brute_member(self, fam):
+        ground = range(1, 9)
+        assert members(fam, ground) == {E for E in subsets(ground) if brute_member(fam, E)}
+
+    def test_sparse_ground(self):
+        ground = (2, 3, 5, 8, 9, 12)
+        for fam in (Base(1), Conv(1, 1)):
+            assert members(fam, ground) == {E for E in subsets(ground) if member(fam, E)}
+
+    @given(families, increasing_tuples(max_size=12))
+    def test_prefixes_of_members_are_members(self, fam, E):
+        # the property the walk relies on
+        if member(fam, E):
+            assert all(member(fam, E[:k]) for k in range(len(E)))
+
+    def test_ground_is_checked_as_a_finite_set(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            members(Base(1), (3, 2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            members(Base(1), (2, 2))
+        with pytest.raises(ValueError, match="positive integers"):
+            members(Base(1), (0, 3))
+        with pytest.raises(TypeError):
+            members(Base(1), (1.5, 3))
 
 
 class TestCanonicalRep:

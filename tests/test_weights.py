@@ -218,6 +218,12 @@ class TestAvg:
         u = {(3, 4): Fraction(3)}
         assert avg(1, count(3), u, 1) == Fraction(1)
 
+    def test_later_block_reads_its_own_weights(self):
+        # the second S_1 block from 3 is (6, ..., 11), weighing 1/6 per
+        # element; the first block weighs 1/3
+        u = {(3, 4, 5, 6): Fraction(1)}
+        assert avg(1, count(3), u, 2) == Fraction(1, 6)
+
     def test_vector_valued(self):
         import numpy as np
 
