@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, groupby
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -391,17 +391,6 @@ def _exact_dot(a: tuple[list[int], int], b: tuple[list[int], int]) -> Fraction:
     return Fraction(sum(map(operator.mul, a[0], b[0])), a[1] * b[1])
 
 
-def _segments(path):
-    """Group prefix indices by their assigned tree node, in order."""
-    segs = []
-    for idx, node in enumerate(path):
-        if not segs or segs[-1][0] != node:
-            segs.append((node, [idx]))
-        else:
-            segs[-1][1].append(idx)
-    return segs
-
-
 @_scenario("sharpness", "xi", "zeta", "stream", "max_root", "block_budget", "seed")
 def run_sharpness(cfg: ScenarioConfig, rep: Report):
     """Lower-bound verification for the square-root re-blocked average.
@@ -432,7 +421,7 @@ def run_sharpness(cfg: ScenarioConfig, rep: Report):
 
     tree = build_tree(omega_pow(zeta), cfg.max_root)
     path = block_map_path(xi, zeta, tree, E)
-    segs = _segments(path)
+    segs = [(node, list(idxs)) for node, idxs in groupby(range(len(E)), path.__getitem__)]
     rep.holds(
         "block-map segment structure",
         "block-map-constancy",

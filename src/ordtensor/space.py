@@ -99,29 +99,19 @@ def normalize_union(ivs: Iterable[Iv]) -> tuple[Iv, ...]:
 class IndexedUnion:
     """A normalized union with the list of its right ends.
 
-    The intervals of a normalized union are sorted and separated by
-    gaps, so the ones that can meet an interval form one run, found by
-    bisection on the right ends: lookups cost ``log n`` plus the size of
-    the answer, not a scan of the whole union.
+    ``ivs`` must already be normalized (see :func:`normalize_union`).
+    Its intervals are then sorted and separated by gaps, so the ones
+    that can meet an interval form one run, found by bisection on the
+    right ends: a meet costs ``log n`` plus the size of the answer, not
+    a scan of the whole union.  A normalized form is unique to its point
+    set, so ``meet(u) == u`` says that ``u`` lies inside the union.
     """
 
     __slots__ = ("ivs", "his")
 
-    def __init__(self, ivs: Iterable[Iv]):
-        self.ivs = normalize_union(ivs)
-        self.his = [iv.hi for iv in self.ivs]
-
-    def covers(self, iv: Iv) -> bool:
-        """Whether the union contains the non-empty interval ``iv``.
-
-        Only the first interval reaching ``iv.hi`` can hold it: any later
-        one starts at or after that interval's end.
-        """
-        j = bisect.bisect_left(self.his, iv.hi)
-        if j == len(self.ivs):
-            return False
-        big = self.ivs[j]
-        return big.lo is None or (iv.lo is not None and big.lo <= iv.lo)
+    def __init__(self, ivs: tuple[Iv, ...]):
+        self.ivs = ivs
+        self.his = [iv.hi for iv in ivs]
 
     def meet(self, u: tuple[Iv, ...]) -> tuple[Iv, ...]:
         """Intersection with the normalized union ``u``, normalized.
@@ -139,17 +129,13 @@ class IndexedUnion:
 
 
 def union_intersect(u: Iterable[Iv], v: Iterable[Iv]) -> tuple[Iv, ...]:
-    return IndexedUnion(v).meet(normalize_union(u))
+    return IndexedUnion(normalize_union(v)).meet(normalize_union(u))
 
 
 def union_contains(u: Iterable[Iv], small: Iterable[Iv]) -> bool:
     """Whether every point of ``small`` lies in the union ``u``."""
-    big = IndexedUnion(u)
-    return all(big.covers(iv) for iv in normalize_union(small))
-
-
-def union_is_empty(u: Iterable[Iv]) -> bool:
-    return all(iv.is_empty() for iv in u)
+    small = normalize_union(small)
+    return IndexedUnion(normalize_union(u)).meet(small) == small
 
 
 # -- step functions ----------------------------------------------------
@@ -301,7 +287,7 @@ def disjoint(fs: Sequence[StepFunction]) -> bool:
     sups = [f.support() for f in fs]
     for i in range(len(sups)):
         for j in range(i + 1, len(sups)):
-            if not union_is_empty(union_intersect(sups[i], sups[j])):
+            if union_intersect(sups[i], sups[j]):
                 return False
     return True
 
@@ -347,9 +333,6 @@ class AtomicMeasure:
         """Exact pairing; function values must be dyadic floats."""
         return sum((w * Fraction(f(pt)) for pt, w in self.atoms), Fraction(0))
 
-    def to_json(self) -> list[dict]:
-        return [{"point": str(pt), "weight": str(w)} for pt, w in self.atoms]
-
 
 # -- Cantor schemes and Rademacher measures -----------------------------
 
@@ -362,26 +345,28 @@ class CantorScheme:
 
     For every ``d`` shorter than the depth, the two children partition
     into the parent: ``A_{d^(-1)}`` and ``A_{d^(1)}`` are disjoint,
-    non-empty, and contained in ``A_d``.
+    non-empty, and contained in ``A_d``.  Each cell is normalized once,
+    here, so the scheme's cells are normalized unions.
     """
 
     depth: int
     cells: Mapping[Sign, tuple[Iv, ...]]
 
     def __post_init__(self):
-        cells = dict(self.cells)
+        cells = {d: normalize_union(cell) for d, cell in self.cells.items()}
         for k in range(self.depth + 1):
             for d in product((-1, 1), repeat=k):
                 if d not in cells:
                     raise ValueError(f"missing cell {d}")
-                if union_is_empty(cells[d]):
+                if not cells[d]:
                     raise ValueError(f"cell {d} is empty")
         for k in range(self.depth):
             for d in product((-1, 1), repeat=k):
+                parent = IndexedUnion(cells[d])
                 minus, plus = cells[d + (-1,)], cells[d + (1,)]
-                if not (union_contains(cells[d], minus) and union_contains(cells[d], plus)):
+                if parent.meet(minus) != minus or parent.meet(plus) != plus:
                     raise ValueError(f"children of {d} not nested")
-                if not union_is_empty(union_intersect(minus, plus)):
+                if IndexedUnion(minus).meet(plus):
                     raise ValueError(f"children of {d} overlap")
         object.__setattr__(self, "cells", cells)
 
@@ -398,7 +383,7 @@ class CantorScheme:
 
 def default_selector(scheme: CantorScheme) -> dict[Sign, Ordinal]:
     """Pick the least point of every leaf cell."""
-    return {d: normalize_union(scheme.cells[d])[0].least() for d in scheme.leaves()}
+    return {d: scheme.cells[d][0].least() for d in scheme.leaves()}
 
 
 def rademacher(
@@ -463,10 +448,7 @@ def compatible(funcs: Sequence[StepFunction], scheme: CantorScheme) -> bool:
         {eps: IndexedUnion(f.preimage(float(eps))) for eps in (-1, 1)}
         for f in funcs
     ]
-    for d, cell in scheme.cells.items():
-        if not d:
-            continue
-        pre = preimages[len(d) - 1][d[-1]]
-        if not all(pre.covers(iv) for iv in normalize_union(cell)):
-            return False
-    return True
+    return all(
+        preimages[len(d) - 1][d[-1]].meet(cell) == cell
+        for d, cell in scheme.cells.items() if d
+    )

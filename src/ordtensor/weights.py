@@ -265,7 +265,7 @@ def q_prefix_weights(xi, zeta, E) -> list[Weight]:
 # -- averaging operators -----------------------------------------------
 
 
-def avg(xi, stream, u: Mapping, n: int, *, max_elements=None):
+def avg(xi, stream, u: Mapping, n: int):
     """The n-th level-xi average of the collection ``u`` along a stream.
 
     Sums ``p_weight(xi, F) * u[F]`` over initial segments F of the
@@ -273,7 +273,7 @@ def avg(xi, stream, u: Mapping, n: int, *, max_elements=None):
     rationals.  Returns scalar 0 when every key is absent.
     """
     xi = as_ordinal(xi)
-    blocks = decompose(Base(xi), stream, n, max_elements=max_elements)
+    blocks = decompose(Base(xi), stream, n)
     full = tuple(chain.from_iterable(blocks))
     ps = p_prefix_weights(xi, full)
     start = len(full) - len(blocks[-1])
@@ -287,7 +287,7 @@ def avg(xi, stream, u: Mapping, n: int, *, max_elements=None):
     return 0 if acc is None else acc
 
 
-def avg2_terms(xi, zeta, stream, n: int, *, max_elements=None):
+def avg2_terms(xi, zeta, stream, n: int):
     """Exact coefficient table for the n-th square-root re-blocked average.
 
     Returns a list of ``(F, q, p)`` triples with q a :class:`Weight`
@@ -295,7 +295,7 @@ def avg2_terms(xi, zeta, stream, n: int, *, max_elements=None):
     maximal S_zeta[S_xi] block of the stream.
     """
     xi, zeta = as_ordinal(xi), as_ordinal(zeta)
-    blocks = decompose(Conv(zeta, xi), stream, n, max_elements=max_elements)
+    blocks = decompose(Conv(zeta, xi), stream, n)
     full = tuple(chain.from_iterable(blocks))
     ps = p_prefix_weights(xi, full)
     qs = q_prefix_weights(xi, zeta, full)
@@ -305,13 +305,13 @@ def avg2_terms(xi, zeta, stream, n: int, *, max_elements=None):
     ]
 
 
-def avg2(xi, zeta, stream, u: Mapping, n: int, *, max_elements=None):
+def avg2(xi, zeta, stream, u: Mapping, n: int):
     """The n-th square-root re-blocked average of the collection ``u``.
 
     Coefficients ``q*p`` are applied as exact rationals when the
     radical part is trivial and as floats otherwise.
     """
-    terms = avg2_terms(xi, zeta, stream, n, max_elements=max_elements)
+    terms = avg2_terms(xi, zeta, stream, n)
     acc = None
     for F, q, p in terms:
         v = u.get(F)

@@ -279,6 +279,36 @@ class TestCli:
         assert main(["schreier", "member", "--family", "S[1]", "--set", "2,5"]) == 0
         assert capsys.readouterr().out.strip() == "True"
 
+    @pytest.mark.parametrize("subset, expected", [("2,3", "True"), ("3,4", "False")])
+    def test_maximal(self, capsys, subset, expected):
+        assert main(["schreier", "maximal", "--family", "S[1]", "--set", subset]) == 0
+        assert capsys.readouterr().out.strip() == expected
+
+    def test_tensor_eps(self, capsys):
+        assert main(["tensor", "eps", "--matrix", "[[1,-2],[0.5,0]]"]) == 0
+        assert capsys.readouterr().out.strip() == "2.000000000000"
+
+    @pytest.mark.parametrize("p", ["1", "2"])
+    def test_tensor_weakp(self, capsys, p):
+        mats = "[[[1,0],[0,0]],[[0,0],[0,1]]]"
+        assert main(["tensor", "weakp", "--p", p, "--matrices", mats]) == 0
+        assert capsys.readouterr().out.strip() == "1.000000000000"
+
+    def test_tree_build_roots(self, capsys):
+        assert main(["tree", "build", "--gamma", "1", "--max-root", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["roots"] == [["0"], ["1"]]
+
+    def test_tree_build_node(self, capsys):
+        assert main(["tree", "build", "--gamma", "2", "--max-root", "4", "--node", "w + 1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["rank"] == "w + 1" and out["maximal"] is False
+
+    def test_tree_scheme(self, capsys):
+        assert main(["tree", "scheme", "--gamma", "1", "--branch", "1,0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["+"] == ["(0,2]"]
+
     def test_weights_p(self, capsys):
         assert main(["weights", "p", "--xi", "1", "--set", "3,4"]) == 0
         assert capsys.readouterr().out.strip() == "1/3"

@@ -216,6 +216,40 @@ class TestCantorScheme:
         with pytest.raises(ValueError):
             CantorScheme(depth=1, cells={(): (iv(0, 2),), (1,): (iv(0, 1),)})
 
+    def test_refuses_an_empty_cell(self):
+        cells = {(): (iv(0, 4),), (1,): (iv(0, 2),), (-1,): (iv(3, 3),)}
+        with pytest.raises(ValueError, match=r"^cell \(-1,\) is empty$"):
+            CantorScheme(depth=1, cells=cells)
+
+    def test_refuses_a_child_outside_its_parent(self):
+        cells = {(): (iv(0, 2),), (1,): (iv(0, 1),), (-1,): (iv(2, 3),)}
+        with pytest.raises(ValueError, match=r"^children of \(\) not nested$"):
+            CantorScheme(depth=1, cells=cells)
+
+    def test_unnormalized_cells_match_their_normalized_twin(self):
+        # unsorted pieces, an empty piece, and cells split into touching pieces
+        ragged = {
+            (): (iv(3, 4), iv(0, 1), iv(2, 2), iv(1, 3)),
+            (1,): (iv(1, 2), iv(0, 1)),
+            (-1,): (iv(3, 4), iv(2, 3)),
+            (1, 1): (iv(0, 1),),
+            (1, -1): (iv(1, 2), iv(2, 2)),
+            (-1, 1): (iv(2, 3),),
+            (-1, -1): (iv(3, 4),),
+        }
+        twin = toy_scheme()
+        scheme = CantorScheme(depth=2, cells=ragged)
+        assert default_selector(scheme) == default_selector(twin)
+        f1 = StepFunction(W, [(iv(0, 2), 1.0), (iv(2, 4), -1.0)])
+        f2 = StepFunction(W, [(iv(0, 1), 1.0), (iv(1, 2), -1.0),
+                              (iv(2, 3), 1.0), (iv(3, 4), -1.0)])
+        for funcs in ([f1, f2], [f2, f1]):
+            assert compatible(funcs, scheme) == compatible(funcs, twin)
+        bad = dict(ragged)
+        bad[(-1, -1)] = (iv(3, 4), iv(1, 2))  # one piece outside (-1,)
+        with pytest.raises(ValueError, match="not nested"):
+            CantorScheme(depth=2, cells=bad)
+
     def test_default_selector_least_points(self):
         sel = default_selector(toy_scheme())
         assert sel[(1, 1)] == F(1)
@@ -257,3 +291,7 @@ class TestCompatibility:
                               (iv(2, 3), 1.0), (iv(3, 4), -1.0)])
         assert compatible([f1, f2], toy_scheme())
         assert not compatible([f2, f1], toy_scheme())
+
+    def test_needs_one_function_per_level(self):
+        with pytest.raises(ValueError, match="^need one function per scheme level$"):
+            compatible([], toy_scheme())

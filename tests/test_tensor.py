@@ -240,6 +240,13 @@ class TestPiNorm:
             pi_norm(np.ones((11, 12)))
         with pytest.raises(BudgetError):
             pi_norm_decomposition(np.ones((10, 10)))
+        with pytest.raises(BudgetError, match=r"^2x8193 exceeds the LP size budget 16384$"):
+            pi_norm(np.ones((2, 8193)))
+
+    def test_pair_dual_rejects_a_certificate_of_another_shape(self):
+        _, cert = pi_norm(np.eye(2))
+        with pytest.raises(ValueError, match="certificate shape"):
+            pair_dual(np.eye(3), cert)
 
     def test_homogeneous_at_tiny_and_huge_scales(self):
         # the LP works to absolute tolerances: unscaled, 2.85e-8 * m came
