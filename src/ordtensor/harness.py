@@ -391,6 +391,15 @@ def _exact_dot(a: tuple[list[int], int], b: tuple[list[int], int]) -> Fraction:
     return Fraction(sum(map(operator.mul, a[0], b[0])), a[1] * b[1])
 
 
+def _rademacher_system(funcs: list[StepFunction]):
+    """The Cantor scheme of a branch's functions (root first), the
+    selected point of each leaf cell in leaf order, and the Rademacher
+    measures at those points."""
+    scheme = scheme_of(funcs)
+    selector = default_selector(scheme)
+    return scheme, [selector[d] for d in scheme.leaves()], rademacher(scheme, selector)
+
+
 @_scenario("sharpness", "xi", "zeta", "stream", "max_root", "block_budget", "seed")
 def run_sharpness(cfg: ScenarioConfig, rep: Report):
     """Lower-bound verification for the square-root re-blocked average.
@@ -415,23 +424,26 @@ def run_sharpness(cfg: ScenarioConfig, rep: Report):
     E = blocks[0]
     inner_blocks = split_blocks(Base(xi), E)
     m = len(inner_blocks)
-    rep.parameters["block_size"] = len(E)
-    rep.parameters["inner_blocks"] = m
-    rep.parameters["trunc"] = max(E)
+    rep.parameters.update(block_size=len(E), inner_blocks=m, trunc=max(E))
 
     tree = build_tree(omega_pow(zeta), cfg.max_root)
     path = block_map_path(xi, zeta, tree, E)
-    segs = [(node, list(idxs)) for node, idxs in groupby(range(len(E)), path.__getitem__)]
+    # each element's segment of the block map, one tree node per
+    # segment, and its inner S_xi block
+    depths, seg_of = [], []
+    for s, (node, run) in enumerate(groupby(path)):
+        depths.append(len(node))
+        seg_of.extend(s for _ in run)
+    block_of = [i for i, b in enumerate(inner_blocks) for _ in b]
     rep.holds(
         "block-map segment structure",
         "block-map-constancy",
         "one node per inner block, constant on segments",
-        len(segs) == m and all(
-            len(idxs) == len(b) for (_, idxs), b in zip(segs, inner_blocks)
-        ),
+        seg_of == block_of,
     )
-    nodes = [node for node, _ in segs]
-    t_last = nodes[-1]
+    if seg_of != block_of:
+        return
+    t_last = path[-1]
     guard = 0
     while not tree.is_max(t_last):
         t_last = tree.children(t_last)[0]
@@ -440,9 +452,7 @@ def run_sharpness(cfg: ScenarioConfig, rep: Report):
             raise RuntimeError("maximal extension did not terminate")
     depth = len(t_last)
     branch_funcs = [tree.node_function(p) for p in tree.branch(t_last)]
-    scheme = scheme_of(branch_funcs)
-    selector = default_selector(scheme)
-    mus = rademacher(scheme, selector)
+    scheme, atoms, mus = _rademacher_system(branch_funcs)
     rep.holds(
         "scheme compatibility",
         "cantor-scheme-compatibility",
@@ -451,41 +461,31 @@ def run_sharpness(cfg: ScenarioConfig, rep: Report):
         detail=f"scheme depth {depth}",
     )
 
-    depths = [len(nd) for nd in nodes]
-    # every branch function evaluated once at the selector atoms; the
-    # exact pairings and the tensor matrix below all read this table
-    leaves = scheme.leaves()
-    atom_of = [selector[d] for d in leaves]
-    values = [[f(pt) for pt in atom_of] for f in branch_funcs]
+    # every branch function evaluated once at the leaf atoms; the exact
+    # pairings and the tensor matrix below all read this table
+    values = [[f(pt) for pt in atoms] for f in branch_funcs]
     f_rows = [_common_denominator(row) for row in values]
-    mu_rows = []
-    for mu in mus:
-        weight = dict(mu.atoms)
-        mu_rows.append(_common_denominator([weight.get(pt, 0) for pt in atom_of]))
-    bio = [
-        [_exact_dot(mu_rows[di - 1], f_rows[dj - 1]) for dj in depths]
-        for di in depths
-    ]
-    bio_ok = all(
-        bio[i][j] == (1 if i == j else 0) for i in range(m) for j in range(m)
-    )
-    rep.holds(
-        "biorthogonality",
-        "rademacher-biorthogonality",
-        "pair(mu_i, f_j) == delta_ij (exact)",
-        bio_ok,
-    )
+    mu_rows = [_common_denominator([w for _, w in mu.atoms]) for mu in mus]
+    bio = [[_exact_dot(mu_rows[di - 1], f_rows[dj - 1]) for dj in depths] for di in depths]
+    bio_ok = all(bio[i][j] == (1 if i == j else 0) for i in range(m) for j in range(m))
+    rep.holds("biorthogonality", "rademacher-biorthogonality",
+              "pair(mu_i, f_j) == delta_ij (exact)", bio_ok)
 
-    # (last element, q, p) for every initial segment of E, which is
-    # itself the first maximal S_(1+zeta)[S_xi] block of the stream
-    terms = list(zip(E, q_prefix_weights(xi, one_plus, E), p_prefix_weights(xi, E)))
-    seg_of = {}
-    for seg_idx, (_, idxs) in enumerate(segs):
-        for i in idxs:
-            seg_of[i] = seg_idx
-    seg_qs = [[terms[i][1] for i in idxs] for _, idxs in segs]
-    qs_constant = all(q == qs[0] for qs in seg_qs for q in qs)
-    a_weights = [qs[0] for qs in seg_qs]
+    # one pass over E: the q and p weights of each initial segment (itself
+    # the first maximal S_(1+zeta)[S_xi] block of the stream) give the
+    # segment coefficients a_i, the exact dual pairing of the averaged
+    # tensor against sum_i a_i mu_(depth_i) x dirac_(block_i), and the
+    # float coefficients of its matrix
+    a_weights, coeff = [], [0.0] * m
+    qs_constant = True
+    pairing = RadicalSum()
+    for q, p, s, b in zip(q_prefix_weights(xi, one_plus, E), p_prefix_weights(xi, E),
+                          seg_of, block_of):
+        if s == len(a_weights):
+            a_weights.append(q)
+        qs_constant = qs_constant and q == a_weights[s]
+        pairing.add(q * a_weights[b], p * bio[b][s])
+        coeff[s] += float(q) * float(p)
     sum_sq = sum((a.square() for a in a_weights), Fraction(0))
     rep.compare(
         "coefficients square-sum",
@@ -496,34 +496,12 @@ def run_sharpness(cfg: ScenarioConfig, rep: Report):
         1,
         also={"constant_q": (qs_constant, "is", True)},
     )
+    rep.compare("dual pairing", "tensor-dual-pairing-one", "== 1 (exact radical arithmetic)",
+                pairing, "==", 1)
 
-    # exact dual pairing of the averaged tensor against
-    # sum_i a_i mu_(depth_i) x dirac_(block_i)
-    block_sets = [frozenset(b) for b in inner_blocks]
-    pairing = RadicalSum()
-    for idx, (x, q, p) in enumerate(terms):
-        sj = seg_of[idx]
-        for i in range(m):
-            coord = 1 if x in block_sets[i] else 0
-            if coord:
-                pairing.add(q * a_weights[i], p * bio[i][sj])
-    rep.compare(
-        "dual pairing",
-        "tensor-dual-pairing-one",
-        "== 1 (exact radical arithmetic)",
-        pairing,
-        "==",
-        1,
-    )
-
-    # the averaged tensor as a matrix: certificate rows x selector atoms
-    coeff = [0.0] * m
-    for idx, (_, q, p) in enumerate(terms):
-        coeff[seg_of[idx]] += float(q) * float(p)
-    V = np.array([[coeff[i] * v for v in values[depths[i] - 1]] for i in range(m)])
-
-    lp_ok = m <= MAX_LP_SIDE and len(leaves) <= MAX_LP_SIDE
-    if lp_ok:
+    # the averaged tensor as a matrix: certificate rows x leaf atoms
+    V = np.array([[coeff[i] * v for v in values[d - 1]] for i, d in enumerate(depths)])
+    if m <= MAX_LP_SIDE and len(atoms) <= MAX_LP_SIDE:
         val, cert = pi_norm(V)
         rep.compare(
             "projective lower bound (LP)",
@@ -540,24 +518,18 @@ def run_sharpness(cfg: ScenarioConfig, rep: Report):
         rep.skip(
             "projective lower bound (LP)",
             "tensor-pi-lower-bound",
-            f"model {m}x{len(leaves)} exceeds the LP sign budget",
+            f"model {m}x{len(atoms)} exceeds the LP sign budget",
         )
 
     # exact Rademacher route: the Gram identity certifies the weak-2
     # bound of the measures, hence feasibility of the dual functional
     denom = Fraction(1, 2**depth)
     gram_ok = all(
-        _exact_dot(mu_rows[depths[i] - 1], mu_rows[depths[j] - 1])
-        == (denom if i == j else 0)
-        for i in range(m)
-        for j in range(m)
+        _exact_dot(mu_rows[di - 1], mu_rows[dj - 1]) == (denom if i == j else 0)
+        for i, di in enumerate(depths) for j, dj in enumerate(depths)
     )
-    rep.holds(
-        "rademacher gram identity",
-        "rademacher-gram-orthogonality",
-        "R R^T == I / 2^depth (exact)",
-        gram_ok,
-    )
+    rep.holds("rademacher gram identity", "rademacher-gram-orthogonality",
+              "R R^T == I / 2^depth (exact)", gram_ok)
     rep.holds(
         "projective lower bound (exact certificate)",
         "tensor-pi-lower-bound-exact",
@@ -619,26 +591,14 @@ def run_blocking_demo(cfg: ScenarioConfig, rep: Report):
     else:
         _check_averages(rep, xi, blocks, gs, Fraction(cfg.eps))
 
-    # staircase tensors: w_n = u_n + v_n with disjoint column and row strips
+    # staircase tensors: w_n = u_n + v_n with disjoint column and row
+    # strips, the column strip of u_n drawn before the row strip of v_n
     rng = np.random.default_rng(cfg.seed)
-    size = 6
-    us, vs, ws = [], [], []
+    us, vs = [], []
     for n in range(3):
-        col = np.zeros(size)
-        col[2 * n : 2 * n + 2] = rng.uniform(0.5, 1.0, size=2)
-        col /= np.abs(col).max()
-        rows_mask = np.zeros(size)
-        rows_mask[: 2 * (n + 1)] = 1.0
-        u_n = np.outer(rows_mask, col)
-        row = np.zeros(size)
-        row[2 * n : 2 * n + 2] = rng.uniform(0.5, 1.0, size=2)
-        row /= np.abs(row).max()
-        cols_mask = np.zeros(size)
-        cols_mask[: 2 * n] = 1.0
-        v_n = np.outer(row, cols_mask) if n else np.zeros((size, size))
-        us.append(u_n)
-        vs.append(v_n)
-        ws.append(u_n + v_n)
+        us.append(_strip(rng, n, 2 * n + 2))
+        vs.append(_strip(rng, n, 2 * n).T)
+    ws = [u + v for u, v in zip(us, vs)]
     demo_samples = min(cfg.samples, 8)
     for label, fam in [("column-strip half", us), ("row-strip half", vs[1:])]:
         rep.compare(
@@ -661,6 +621,15 @@ def run_blocking_demo(cfg: ScenarioConfig, rep: Report):
         ".6f",
         tol=1e-9,
     )
+
+
+def _strip(rng, n: int, width: int) -> np.ndarray:
+    """A 6 x 6 strip: ones on the first ``width`` rows times a row vector
+    drawn on the coordinates 2n and 2n + 1 and scaled to sup norm 1."""
+    profile = np.zeros(6)
+    profile[2 * n : 2 * n + 2] = rng.uniform(0.5, 1.0, size=2)
+    profile /= np.abs(profile).max()
+    return np.outer(np.arange(6) < width, profile)
 
 
 def _check_averages(rep: Report, xi, blocks, gs: list, eps: Fraction):
@@ -786,14 +755,14 @@ def run_lower_bound_probe(cfg: ScenarioConfig, rep: Report):
     tree = build_tree(1, max_root=4)
     branch = (Ordinal.from_int(2), Ordinal.from_int(1), Ordinal.from_int(0))
     funcs = [tree.node_function(p) for p in tree.branch(branch)]
-    scheme = scheme_of(funcs)
-    selector = default_selector(scheme)
-    mus = rademacher(scheme, selector)
-    atoms = [selector[d] for d in scheme.leaves()]
+    _, atoms, mus = _rademacher_system(funcs)
+    # the trials draw only coefficients: the function values at the atoms
+    # and the diagonal pairings mu_i(f_i) are the same in every trial
+    fvals = [np.array([f(pt) for pt in atoms]) for f in funcs]
+    diag = [mu.pair(f) for mu, f in zip(mus, funcs)]
+    m = len(funcs)
     for trial in range(trials):
-        m = 3
         block_sizes = [int(rng.integers(1, 3)) for _ in range(m)]
-        n = sum(block_sizes)
         cs = [int(rng.integers(1, 6)) for _ in range(m)]
         R = sum(c * c for c in cs)
         a = [Weight(Fraction(c), R) for c in cs]  # c / sqrt(R)
@@ -808,15 +777,12 @@ def run_lower_bound_probe(cfg: ScenarioConfig, rep: Report):
         # carries a_i f_i, and pairs the measure against the function
         pairing = RadicalSum()
         for i in range(m):
-            pairing.add(a[i] * a[i], mus[i].pair(funcs[i]) * sum(bs[i], Fraction(0)))
-        U = np.zeros((len(atoms), n + m))
-        j0 = 0
-        for i in range(m):
-            fvals = np.array([funcs[i](pt) for pt in atoms])
-            for jj, b in enumerate(bs[i]):
-                U[:, j0 + jj] = float(a[i]) * float(b) * fvals
-            U[:, n + i] = float(a[i]) * fvals
-            j0 += len(bs[i])
+            pairing.add(a[i] * a[i], diag[i] * sum(bs[i], Fraction(0)))
+        # a column a_i b f_i per block entry, then the marker columns a_i f_i
+        U = np.column_stack(
+            [float(a[i]) * float(b) * fvals[i] for i in range(m) for b in bs[i]]
+            + [float(a[i]) * fvals[i] for i in range(m)]
+        )
         rep.compare(
             f"trial {trial}",
             "biorthogonal-lower-bound",

@@ -232,6 +232,83 @@ class TestScenarios:
         assert [c.check_id for c in rep.checks] == ["sharpness-block-materialization"]
         assert rep.wall_time_s > 0
 
+    def test_staircase_families_are_pinned(self, monkeypatch):
+        # the staircase weak-2 values print the same whatever the strips
+        # hold, so the families handed to the LP are pinned here
+        seen = []
+        lower = harness.weak_2_norm_pi_lower
+
+        def spy(fam, **kw):
+            seen.append(fam)
+            return lower(fam, **kw)
+
+        monkeypatch.setattr(harness, "weak_2_norm_pi_lower", spy)
+        run_blocking_demo(ScenarioConfig(xi="1", seed=0))
+        digest = hashlib.sha256(b"".join(np.stack(fam).tobytes() for fam in seen))
+        assert len(seen) == 3
+        assert digest.hexdigest() == (
+            "704ab0d33c060f2afdca53400710db4ca0bc03ae6422b130a1835dd379897c91"
+        )
+
+
+def _merge_first_inner_block(block_map_path):
+    """The block map, but the first inner block takes the second's node."""
+    def merged(*args):
+        path = block_map_path(*args)
+        second = next(node for node in path if node != path[0])
+        return [second if node == path[0] else node for node in path]
+    return merged
+
+
+def _double_entry(prefix_weights, k):
+    def doubled(*args):
+        ws = prefix_weights(*args)
+        ws[k] = ws[k] * 2
+        return ws
+    return doubled
+
+
+def _swap_first_two(rademacher):
+    def swapped(*args):
+        mus = rademacher(*args)
+        return (mus[1], mus[0], *mus[2:])
+    return swapped
+
+
+class TestSharpnessVerdicts:
+    """Each exact verdict of the sharpness scenario can fail."""
+
+    CFG = ScenarioConfig(xi="1", zeta="0", stream="3")
+
+    def test_merged_inner_blocks_are_reported(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "block_map_path",
+                            _merge_first_inner_block(harness.block_map_path))
+        rep = run_sharpness(self.CFG)
+        assert [(c.check_id, c.passed) for c in rep.checks] == [
+            ("block-map-constancy", False)
+        ]
+        out = tmp_path / "r.json"
+        argv = ["verify", "sharpness", "--xi", "1", "--zeta", "0", "--stream", "3",
+                "--out", str(out)]
+        assert main(argv) == 1
+        (report,) = json.loads(out.read_text())["reports"]
+        assert [c["check_id"] for c in report["checks"]] == ["block-map-constancy"]
+
+    @pytest.mark.parametrize("name, broken, failing", [
+        ("q_prefix_weights", lambda f: _double_entry(f, 1),
+         {"weights-l2-sum-one", "tensor-dual-pairing-one", "tensor-pi-lower-bound-exact"}),
+        ("p_prefix_weights", lambda f: _double_entry(f, 0),
+         {"tensor-dual-pairing-one", "tensor-pi-lower-bound-exact"}),
+        ("rademacher", _swap_first_two,
+         {"rademacher-biorthogonality", "tensor-dual-pairing-one",
+          "tensor-pi-lower-bound-exact"}),
+    ], ids=["second-q-doubled", "first-p-doubled", "first-measures-swapped"])
+    def test_broken_input_fails_its_verdicts(self, monkeypatch, name, broken, failing):
+        monkeypatch.setattr(harness, name, broken(getattr(harness, name)))
+        rep = run_sharpness(self.CFG)
+        assert {c.check_id for c in rep.checks if not c.passed} == failing
+        assert len(rep.checks) == 9
+
 
 @st.composite
 def set_systems(draw, bound=6):
