@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import chain, islice, tee
 from typing import Iterable, Union
 
-from .ordinal import ONE, Ordinal, as_ordinal, parse_ordinal
+from .ordinal import OMEGA, ONE, Ordinal, as_ordinal, parse_ordinal
 
 __all__ = [
     "Base",
@@ -383,8 +383,6 @@ def node_rank_exact(fam: Family, E: Iterable[int]) -> Ordinal:
         blocks = _split(Base(ONE), E)
         open_blocks = E[0] - len(blocks)
         slots = blocks[-1][0] - len(blocks[-1])
-        from .ordinal import OMEGA
-
         return OMEGA.mul_nat(open_blocks) + Ordinal.from_int(slots)
     raise NotImplementedError(
         f"no exact rank for {family_str(fam)}: closed forms exist for S[1] and S[2]"

@@ -16,10 +16,11 @@ Cantor scheme of nested ordinal intervals.  The construction is:
 
 Trees are exposed through intensional handles (root and child
 enumerators with a materialization bound), since the trees themselves
-are infinite.  ``residual_rank`` gives the exact ordinal rank of a node
-from the construction's bookkeeping; ``rank_finite`` computes ranks of
-materialized finite trees by literal derived-tree iteration, which the
-test suite uses as the oracle for the closed forms.
+are infinite.  A handle reads a node once, as a run of chains, and
+answers every query from the last chain: ``residual_rank`` gives the
+exact ordinal rank of a node from that reading; ``rank_finite``
+computes ranks of materialized finite trees by literal derived-tree
+iteration, which the test suite uses as the oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable
 
-from .ordinal import OMEGA, ONE, Ordinal, as_ordinal, omega_pow
+from .ordinal import OMEGA, ONE, ZERO, Ordinal, as_ordinal, omega_pow
 from .schreier import Base, Conv, as_finite_set, member, node_rank_exact, split_blocks
 from .space import CantorScheme, IndexedUnion, Iv, StepFunction
 
@@ -56,9 +57,15 @@ def build_tree(gamma, max_root: int = 6) -> "TreeHandle":
 class TreeHandle:
     """Bounded view of the infinite tree for a fixed ``gamma``.
 
-    ``max_root`` caps every infinite enumeration: root indices, and the
-    root indices of embedded copies.  All queries are pure and the
-    handle is immutable after construction.
+    A node of the finite-``gamma`` tree is a run of chains ``(i, n, k)``,
+    top level ``gamma - 1`` first: the chain at level i holds the first k
+    of the labels ``w*i + (n-1), ..., w*i + 0``, every chain but the last
+    is complete (``k = n``), and the level-0 chain is the bottom.  A node
+    of the ``gamma = w`` tree is a node of the ``z + 1`` tree with every
+    label shifted by ``w^z``.  ``max_root`` caps every infinite
+    enumeration (root indices, and the chain starts one level down), not
+    membership.  All queries are pure and the handle holds nothing but
+    ``gamma``, ``max_root`` and ``domain_top``.
     """
 
     def __init__(self, gamma, max_root: int = 6):
@@ -72,153 +79,107 @@ class TreeHandle:
         self.gamma = gamma
         self.max_root = max_root
         self.domain_top = omega_pow(gamma)
-        if gamma.is_finite():
-            # gamma = 1 is the chain alone, with nothing below its bottom
-            self._kind = "chain"
-            g0 = gamma.predecessor()
-            self._chain_base = OMEGA.mul_nat(g0.to_int())
-            self._scale = omega_pow(g0)
-            self._inner = None if g0.is_zero() else TreeHandle(g0, max_root)
-        else:
-            self._kind = "limit"
-            self._subs = {
-                z: TreeHandle(Ordinal.from_int(z + 1), max_root)
-                for z in range(max_root)
-            }
-            self._shifts = {z: omega_pow(z) for z in range(max_root)}
+
+    def _starts(self, shift: Ordinal, level: int) -> list[Node]:
+        """The first labels of the chains at a level, root index 1 up."""
+        base = OMEGA.mul_nat(level)
+        return [(shift + (base + Ordinal.from_int(n - 1)),)
+                for n in range(1, self.max_root + 1)]
+
+    def _chains(self, t: Node) -> tuple[Ordinal, list[tuple[int, int, int]]]:
+        """The shift of t's summand and t read as its run of chains
+        ``(i, n, k)``; raises ValueError off the tree."""
+        # level -1 reads no chain: a node off every summand is refused
+        labels, shift, level = t, ZERO, -1
+        if self.gamma.is_finite():
+            level = self.gamma.to_int() - 1
+        elif t and not t[0].is_zero() and t[0].leading_exponent().is_finite():
+            z = t[0].leading_exponent().to_int()
+            shift = omega_pow(z)
+            if all(lbl >= shift for lbl in t):
+                labels, level = tuple(lbl.left_subtract(shift) for lbl in t), z
+        chains: list[tuple[int, int, int]] = []
+        pos = 0
+        while pos < len(labels) and level >= 0:
+            base = OMEGA.mul_nat(level)
+            j = labels[pos].left_subtract(base) if labels[pos] >= base else None
+            if j is None or not j.is_finite():
+                break
+            n = j.to_int() + 1
+            k = min(n, len(labels) - pos)
+            if labels[pos:pos + k] != tuple(
+                base + Ordinal.from_int(n - 1 - d) for d in range(k)
+            ):
+                break
+            chains.append((level, n, k))
+            pos, level = pos + k, level - 1
+        if not chains or pos < len(labels):
+            raise ValueError(f"node {t} is not in the tree")
+        return shift, chains
 
     # -- structure ------------------------------------------------------
 
     def roots(self) -> list[Node]:
-        if self._kind == "chain":
-            return [
-                (self._chain_base + Ordinal.from_int(n - 1),)
-                for n in range(1, self.max_root + 1)
-            ]
-        out = []
-        for z in range(self.max_root):
-            shift = self._shifts[z]
-            for r in self._subs[z].roots():
-                out.append(tuple(shift + lbl for lbl in r))
-        return out
-
-    def _parse(self, t: Node):
-        """This handle's own reading of t; raises ValueError off the tree.
-
-        A chain node reads as its root index n and the suffix below the
-        chain (None inside the chain); a limit node as its summand z and
-        its labels shifted back into that summand.  Only the labels this
-        handle places are checked: the suffix or the shifted node is
-        checked by the handle it belongs to, when a query recurses there.
-        """
-        if self._kind == "chain":
-            if t and t[0] >= self._chain_base:
-                j = t[0].left_subtract(self._chain_base)
-                if j.is_finite():
-                    n = j.to_int() + 1
-                    chain_len = min(len(t), n)
-                    expected = tuple(
-                        self._chain_base + Ordinal.from_int(n - i)
-                        for i in range(1, chain_len + 1)
-                    )
-                    if t[:chain_len] == expected and (len(t) <= n or self._inner is not None):
-                        return n, t[n:] or None
-        elif t and not t[0].is_zero():
-            e = t[0].leading_exponent()
-            if e.is_finite() and e.to_int() < self.max_root:
-                z = e.to_int()
-                shift = self._shifts[z]
-                if all(lbl >= shift for lbl in t):
-                    return z, tuple(lbl.left_subtract(shift) for lbl in t)
-        raise ValueError(f"node {t} is not in the tree")
+        if self.gamma.is_finite():
+            return self._starts(ZERO, self.gamma.to_int() - 1)
+        return [r for z in range(self.max_root) for r in self._starts(omega_pow(z), z)]
 
     def contains(self, t: Node) -> bool:
         try:
-            key, s = self._parse(t)
+            self._chains(t)
         except ValueError:
             return False
-        if self._kind == "chain":
-            return s is None or self._inner.contains(s)
-        return self._subs[key].contains(s)
+        return True
 
     def children(self, t: Node) -> list[Node]:
-        if self._kind == "chain":
-            n, s = self._parse(t)
-            if s is None and len(t) < n:
-                return [t + (self._chain_base + Ordinal.from_int(n - len(t) - 1),)]
-            if s is None:
-                return [] if self._inner is None else [t + r for r in self._inner.roots()]
-            return [t[:n] + c for c in self._inner.children(s)]
-        z, s = self._parse(t)
-        shift = self._shifts[z]
-        return [
-            tuple(shift + lbl for lbl in c) for c in self._subs[z].children(s)
-        ]
+        """The next label of the last chain; below a complete chain, the
+        chain starts one level down (none below level 0)."""
+        shift, chains = self._chains(t)
+        i, n, k = chains[-1]
+        if k < n:
+            return [t + (shift + (OMEGA.mul_nat(i) + Ordinal.from_int(n - k - 1)),)]
+        return [] if i == 0 else [t + r for r in self._starts(shift, i - 1)]
 
     def is_max(self, t: Node) -> bool:
         """True maximality in the infinite tree (not bound-relative)."""
-        if self._kind == "chain":
-            n, s = self._parse(t)
-            if s is None:
-                return len(t) == n and self._inner is None
-            return self._inner.is_max(s)
-        z, s = self._parse(t)
-        return self._subs[z].is_max(s)
+        i, n, k = self._chains(t)[1][-1]
+        return i == 0 and k == n
 
     def subtree_complete(self, t: Node) -> bool:
         """Whether the subtree below t is finite and fully materialized."""
-        if self._kind == "chain":
-            _, s = self._parse(t)
-            if s is None:
-                return self._inner is None
-            return self._inner.subtree_complete(s)
-        z, s = self._parse(t)
-        return self._subs[z].subtree_complete(s)
+        return self._chains(t)[1][-1][0] == 0
 
     def residual_rank(self, t: Node) -> Ordinal:
         """Exact rank of the node in the derived trees of the full tree.
 
-        Chain nodes at depth k below a root of index n sit ``n - k``
-        steps above a full embedded copy of the previous tree, so their
-        rank is ``w*(gamma-1) + (n-k)``; nodes inside an embedded copy
-        keep their rank there.
+        A node whose last chain, at level i with root index n, holds k
+        labels sits ``n - k`` steps above the chain's end, whose rank is
+        ``w*i``: the supremum of the ranks ``w*(i-1) + m`` of the chain
+        starts one level down, or 0 at level 0.  Its rank is
+        ``w*i + (n-k)``.
         """
-        if self._kind == "chain":
-            n, s = self._parse(t)
-            if s is None:
-                return self._chain_base + Ordinal.from_int(n - len(t))
-            return self._inner.residual_rank(s)
-        z, s = self._parse(t)
-        return self._subs[z].residual_rank(s)
+        i, n, k = self._chains(t)[1][-1]
+        return OMEGA.mul_nat(i) + Ordinal.from_int(n - k)
 
     def node_function(self, t: Node) -> StepFunction:
-        """The step function attached to a node; values in {-1, 0, 1}."""
-        if self._kind == "chain":
-            n, s = self._parse(t)
-            if s is None:
-                k = len(t)
-                width = 2 ** (n - k)
-                pieces = [
-                    (
-                        Iv(
-                            self._scale.mul_nat(width * i),
-                            self._scale.mul_nat(width * (i + 1)),
-                        ),
-                        1.0 if i % 2 == 0 else -1.0,
-                    )
-                    for i in range(2**k)
-                ]
-                return StepFunction(self.domain_top, pieces)
-            g = self._inner.node_function(s)
-            pieces = []
-            for i in range(2**n):
-                delta = self._scale.mul_nat(i)
-                for iv, v in g.pieces:
-                    pieces.append((Iv(delta + iv.lo, delta + iv.hi), v))
-            return StepFunction(self.domain_top, pieces)
-        z, s = self._parse(t)
-        g = self._subs[z].node_function(s)
-        return StepFunction(self.domain_top, g.pieces)
+        """The step function attached to a node; values in {-1, 0, 1}.
+
+        The last chain's function alternates +1/-1 on 2^k blocks of
+        ``(0, w^i * 2^n]``; each complete chain above it, at level j with
+        root index m, tiles that pattern on 2^m translates by ``w^j``.
+        """
+        chains = self._chains(t)[1]
+        i, n, k = chains[-1]
+        scale, width = omega_pow(i), 2 ** (n - k)
+        pieces = [
+            (Iv(scale.mul_nat(width * b), scale.mul_nat(width * (b + 1))),
+             1.0 if b % 2 == 0 else -1.0)
+            for b in range(2**k)
+        ]
+        for j, m, _ in reversed(chains[:-1]):
+            deltas = [omega_pow(j).mul_nat(b) for b in range(2**m)]
+            pieces = [(Iv(d + iv.lo, d + iv.hi), v) for d in deltas for iv, v in pieces]
+        return StepFunction(self.domain_top, pieces)
 
     # -- enumeration ------------------------------------------------------
 

@@ -8,7 +8,8 @@ ground sets only.  The remaining oracles are the plain definitions that
 the library's fast paths replace: the recursive CNF comparison, interval
 unions as point sets, Cantor-scheme cells by whole-union intersection,
 the block map with every prefix split on its own, the spreads of a
-set listed one by one, the projective-norm epigraph matrix built entry
+set listed one by one, the tree node functions by the recursive
+construction, the projective-norm epigraph matrix built entry
 by entry, the earlier two-sided epigraph LP solved by scipy's
 ``linprog``, the weak-1 norm with one LP per sign vector, the weak-2
 ascent with a fresh LP for every step, the block walk and stream reads
@@ -26,7 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from ordtensor.ordinal import ONE, as_ordinal, omega_pow
+from ordtensor.ordinal import OMEGA, ONE, as_ordinal, omega_pow
 from ordtensor.schreier import (
     Base,
     BudgetExceeded,
@@ -39,7 +40,7 @@ from ordtensor.schreier import (
     node_rank_exact,
     split_blocks,
 )
-from ordtensor.space import union_intersect
+from ordtensor.space import Iv, StepFunction, union_intersect
 from ordtensor.tensor import pi_norm
 from ordtensor.weights import PermReport, Weight, p_prefix_weights, q_prefix_weights
 
@@ -163,6 +164,40 @@ def cantor_cells_reference(handle, branch) -> dict:
             for eps in (-1, 1):
                 cells[d + (eps,)] = union_intersect(cells[d], f.preimage(float(eps)))
     return cells
+
+
+def node_function_reference(gamma, t):
+    """The step function of node t of the rank ``w*gamma`` tree, by the
+    recursive construction; t must be a node of the tree.
+
+    A successor tree is a chain above each root, whose functions
+    alternate on ``w^(gamma-1)``-scaled blocks, and 2^n tiled copies of
+    the ``gamma - 1`` tree below the chain of root index n; the limit
+    tree is the summand ``z + 1`` re-topped at ``w^w``.
+    """
+    gamma = as_ordinal(gamma)
+    top = omega_pow(gamma)
+    if gamma == OMEGA:
+        shift = omega_pow(t[0].leading_exponent())
+        inner = node_function_reference(
+            t[0].leading_exponent() + ONE, tuple(lbl.left_subtract(shift) for lbl in t))
+        return StepFunction(top, inner.pieces)
+    g0 = gamma.predecessor()
+    scale = omega_pow(g0)
+    n = t[0].left_subtract(OMEGA.mul_nat(g0.to_int())).to_int() + 1
+    if len(t) <= n:
+        width = 2 ** (n - len(t))
+        return StepFunction(top, [
+            (Iv(scale.mul_nat(width * i), scale.mul_nat(width * (i + 1))),
+             1.0 if i % 2 == 0 else -1.0)
+            for i in range(2 ** len(t))
+        ])
+    inner = node_function_reference(g0, t[n:])
+    return StepFunction(top, [
+        (Iv(scale.mul_nat(i) + iv.lo, scale.mul_nat(i) + iv.hi), v)
+        for i in range(2**n)
+        for iv, v in inner.pieces
+    ])
 
 
 def block_map_path_reference(xi, zeta, handle, E) -> list:

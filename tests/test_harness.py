@@ -381,6 +381,19 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["rank"] == "w + 1" and out["maximal"] is False
 
+    def test_tree_build_deep_node(self, capsys):
+        # a rank w*600 tree is read without building anything below it
+        argv = ["tree", "build", "--gamma", "600", "--max-root", "2", "--node", "w*599 + 1"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["rank"] == "w*599 + 1" and out["maximal"] is False
+
+    def test_tree_build_summand_past_max_root(self, capsys):
+        # max_root bounds the roots listed, not the nodes accepted
+        argv = ["tree", "build", "--gamma", "w", "--max-root", "2", "--node", "w^2 + w*2"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == "w*2"
+
     def test_tree_scheme(self, capsys):
         assert main(["tree", "scheme", "--gamma", "1", "--branch", "1,0"]) == 0
         out = json.loads(capsys.readouterr().out)

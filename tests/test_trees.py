@@ -24,6 +24,7 @@ from oracles import (
     block_map_path_reference,
     cantor_cells_reference,
     finite_node_ranks,
+    node_function_reference,
     subsets,
 )
 
@@ -148,9 +149,9 @@ class TestLimitTree:
 class TestNodeChecks:
     @pytest.mark.parametrize("gamma", [2, 3, W], ids=["2", "3", "w"])
     def test_corrupt_label_in_embedded_copy_or_summand(self, gamma):
-        # the top handle reads only its own labels; the corrupted last
-        # label lies in an embedded copy or a summand, whose handle
-        # rejects it when the query recurses there
+        # every query reads the whole node as a run of chains, so a
+        # corrupted last label, in the bottom chain of an embedded copy
+        # or of a summand, is rejected by each of them
         h = build_tree(gamma, max_root=3)
         deep = max(h.max_nodes(), key=len)
         bad = deep[:-1] + (deep[-1] + F(1),)
@@ -160,6 +161,41 @@ class TestNodeChecks:
                       h.node_function):
             with pytest.raises(ValueError):
                 query(bad)
+
+
+class TestChainReading:
+    @pytest.mark.parametrize("gamma", [1, 2, 3, W], ids=["1", "2", "3", "w"])
+    def test_node_function_matches_recursive_construction(self, gamma):
+        h = build_tree(gamma, max_root=3)
+        for t in h.materialize():
+            f, ref = h.node_function(t), node_function_reference(gamma, t)
+            assert f.top == ref.top and f.pieces == ref.pieces
+
+    @pytest.mark.parametrize("gamma", [1, 2, 3, W], ids=["1", "2", "3", "w"])
+    def test_maximal_exactly_without_children(self, gamma):
+        # a complete chain above level 0 has the next level's chains below
+        h = build_tree(gamma, max_root=3)
+        for t in h.materialize():
+            assert h.is_max(t) == (h.children(t) == [])
+
+    def test_deep_and_wide_trees_build_nothing(self):
+        wide = build_tree(W, max_root=1000)
+        top = omega_pow(999) + W.mul_nat(999)
+        assert wide.residual_rank((top + 5,)) == W.mul_nat(999) + 5
+        deep = build_tree(600, max_root=2)
+        assert deep.residual_rank((W.mul_nat(599) + 1,)) == W.mul_nat(599) + 1
+
+    def test_max_root_bounds_enumerations_not_membership(self):
+        # a root index past max_root and a summand past it are both nodes,
+        # though neither is listed among the roots
+        t1 = build_tree(1, max_root=2)
+        assert t1.contains((F(4),)) and t1.residual_rank((F(4),)) == F(4)
+        assert (F(4),) not in t1.roots()
+        tw = build_tree(W, max_root=2)
+        node = (omega_pow(2) + W.mul_nat(2),)
+        assert tw.contains(node) and tw.residual_rank(node) == W.mul_nat(2)
+        assert node not in tw.roots()
+        assert tw.children(node) == [node + (omega_pow(2) + W,), node + (omega_pow(2) + W + 1,)]
 
 
 class TestCantorScheme:
