@@ -47,7 +47,10 @@ class Ordinal:
             if eb >= ea:
                 raise ValueError("exponents must be strictly decreasing")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash(terms))
+        # a natural number equals its int, so it hashes as that int
+        finite = not terms or terms[0][0].is_zero()
+        key = (terms[0][1] if terms else 0) if finite else terms
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -27,7 +28,8 @@ from .ordinal import ONE, ZERO, Ordinal, as_ordinal
 
 __all__ = [
     "Iv",
-    "IndexedUnion",
+    "normalize_union",
+    "meet",
     "StepFunction",
     "AtomicMeasure",
     "CantorScheme",
@@ -96,46 +98,25 @@ def normalize_union(ivs: Iterable[Iv]) -> tuple[Iv, ...]:
     return tuple(out)
 
 
-class IndexedUnion:
-    """A normalized union with the list of its right ends.
+def meet(union: tuple[Iv, ...], u: tuple[Iv, ...]) -> tuple[Iv, ...]:
+    """Intersection of the normalized unions ``union`` and ``u``, normalized.
 
-    ``ivs`` must already be normalized (see :func:`normalize_union`).
-    Its intervals are then sorted and separated by gaps, so the ones
-    that can meet an interval form one run, found by bisection on the
-    right ends: a meet costs ``log n`` plus the size of the answer, not
-    a scan of the whole union.  A normalized form is unique to its point
-    set, so ``meet(u) == u`` says that ``u`` lies inside the union.
+    Both must already be normalized (see :func:`normalize_union`).  Their
+    intervals are then sorted and separated by gaps, so the ones of
+    ``union`` that can meet an interval of ``u`` form one run, found by
+    bisection on the right ends: a meet costs ``log n`` plus the size of
+    the answer, not a scan of the whole union.  The pieces come out
+    sorted, and separated by the gaps of either side, so they need no
+    merging.  A normalized form is unique to its point set, so
+    ``meet(union, u) == u`` says that ``u`` lies inside ``union``.
     """
-
-    __slots__ = ("ivs", "his")
-
-    def __init__(self, ivs: tuple[Iv, ...]):
-        self.ivs = ivs
-        self.his = [iv.hi for iv in ivs]
-
-    def meet(self, u: tuple[Iv, ...]) -> tuple[Iv, ...]:
-        """Intersection with the normalized union ``u``, normalized.
-
-        The pieces come out sorted, and separated by the gaps of either
-        side, so they need no merging.
-        """
-        ivs, out = self.ivs, []
-        for iv in u:
-            j = 0 if iv.lo is None else bisect.bisect_right(self.his, iv.lo)
-            while j < len(ivs) and (ivs[j].lo is None or ivs[j].lo < iv.hi):
-                out.append(iv.intersect(ivs[j]))
-                j += 1
-        return tuple(out)
-
-
-def union_intersect(u: Iterable[Iv], v: Iterable[Iv]) -> tuple[Iv, ...]:
-    return IndexedUnion(normalize_union(v)).meet(normalize_union(u))
-
-
-def union_contains(u: Iterable[Iv], small: Iterable[Iv]) -> bool:
-    """Whether every point of ``small`` lies in the union ``u``."""
-    small = normalize_union(small)
-    return IndexedUnion(normalize_union(u)).meet(small) == small
+    out, hi = [], operator.attrgetter("hi")
+    for iv in u:
+        j = 0 if iv.lo is None else bisect.bisect_right(union, iv.lo, key=hi)
+        while j < len(union) and (union[j].lo is None or union[j].lo < iv.hi):
+            out.append(iv.intersect(union[j]))
+            j += 1
+    return tuple(out)
 
 
 # -- step functions ----------------------------------------------------
@@ -149,7 +130,7 @@ class StepFunction:
     under the averaging operators.
     """
 
-    __slots__ = ("top", "pieces", "_start_keys")
+    __slots__ = ("top", "pieces")
 
     def __init__(self, top, pieces: Iterable[tuple[Iv, float]]):
         top = as_ordinal(top)
@@ -162,25 +143,17 @@ class StepFunction:
             clean.append((iv, v))
         clean.sort(key=lambda pv: _iv_sort_key(pv[0]))
         merged: list[tuple[Iv, float]] = []
-        prev_hi: Ordinal | None = None
         for iv, v in clean:
             if merged:
                 piv, pv = merged[-1]
-                if iv.lo is None or (prev_hi is not None and iv.lo < prev_hi):
+                if iv.lo is None or iv.lo < piv.hi:
                     raise ValueError("pieces overlap")
                 if pv == v and iv.lo == piv.hi:
                     merged[-1] = (Iv(piv.lo, iv.hi), v)
-                    prev_hi = iv.hi
                     continue
             merged.append((iv, v))
-            prev_hi = iv.hi
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "pieces", tuple(merged))
-        object.__setattr__(
-            self,
-            "_start_keys",
-            [ZERO if iv.lo is None else iv.lo for iv, _ in merged],
-        )
 
     def __setattr__(self, name, value):
         raise AttributeError("StepFunction is immutable")
@@ -189,11 +162,11 @@ class StepFunction:
         pt = as_ordinal(pt)
         if pt > self.top:
             raise ValueError(f"{pt} is outside [0, {self.top}]")
-        idx = bisect.bisect_right(self._start_keys, pt)
-        for j in range(idx - 1, max(idx - 3, -1), -1):
-            iv, v = self.pieces[j]
-            if iv.contains(pt):
-                return v
+        # the pieces are sorted and disjoint: only the first one that
+        # reaches pt can hold it
+        j = bisect.bisect_left(self.pieces, pt, key=lambda pv: pv[0].hi)
+        if j < len(self.pieces) and self.pieces[j][0].contains(pt):
+            return self.pieces[j][1]
         return 0
 
     def sup_norm(self) -> float:
@@ -287,7 +260,7 @@ def disjoint(fs: Sequence[StepFunction]) -> bool:
     sups = [f.support() for f in fs]
     for i in range(len(sups)):
         for j in range(i + 1, len(sups)):
-            if union_intersect(sups[i], sups[j]):
+            if meet(sups[i], sups[j]):
                 return False
     return True
 
@@ -362,11 +335,10 @@ class CantorScheme:
                     raise ValueError(f"cell {d} is empty")
         for k in range(self.depth):
             for d in product((-1, 1), repeat=k):
-                parent = IndexedUnion(cells[d])
-                minus, plus = cells[d + (-1,)], cells[d + (1,)]
-                if parent.meet(minus) != minus or parent.meet(plus) != plus:
+                parent, minus, plus = cells[d], cells[d + (-1,)], cells[d + (1,)]
+                if meet(parent, minus) != minus or meet(parent, plus) != plus:
                     raise ValueError(f"children of {d} not nested")
-                if IndexedUnion(minus).meet(plus):
+                if meet(minus, plus):
                     raise ValueError(f"children of {d} overlap")
         object.__setattr__(self, "cells", cells)
 
@@ -444,11 +416,8 @@ def compatible(funcs: Sequence[StepFunction], scheme: CantorScheme) -> bool:
     with ``|d| = i-1``; checked exactly on the interval representations."""
     if len(funcs) != scheme.depth:
         raise ValueError("need one function per scheme level")
-    preimages = [
-        {eps: IndexedUnion(f.preimage(float(eps))) for eps in (-1, 1)}
-        for f in funcs
-    ]
+    preimages = [{eps: f.preimage(float(eps)) for eps in (-1, 1)} for f in funcs]
     return all(
-        preimages[len(d) - 1][d[-1]].meet(cell) == cell
+        meet(preimages[len(d) - 1][d[-1]], cell) == cell
         for d, cell in scheme.cells.items() if d
     )

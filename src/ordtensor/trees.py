@@ -30,7 +30,7 @@ from typing import Iterable
 
 from .ordinal import OMEGA, ONE, ZERO, Ordinal, as_ordinal, omega_pow
 from .schreier import Base, Conv, as_finite_set, member, node_rank_exact, split_blocks
-from .space import CantorScheme, IndexedUnion, Iv, StepFunction
+from .space import CantorScheme, Iv, StepFunction, meet
 
 __all__ = [
     "TreeHandle",
@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 Node = tuple[Ordinal, ...]
+
+# node functions are built piece by piece: a node whose function has more
+# pieces than this is refused, not built
+MAX_PIECES = 2**16
 
 
 class BoundsError(ValueError):
@@ -86,9 +90,11 @@ class TreeHandle:
         return [(shift + (base + Ordinal.from_int(n - 1)),)
                 for n in range(1, self.max_root + 1)]
 
-    def _chains(self, t: Node) -> tuple[Ordinal, list[tuple[int, int, int]]]:
-        """The shift of t's summand and t read as its run of chains
-        ``(i, n, k)``; raises ValueError off the tree."""
+    def _chains(self, t) -> tuple[Node, Ordinal, list[tuple[int, int, int]]]:
+        """t with its labels as Ordinals, the shift of its summand, and t
+        read as its run of chains ``(i, n, k)``; raises ValueError off
+        the tree."""
+        t = tuple(map(as_ordinal, t))
         # level -1 reads no chain: a node off every summand is refused
         labels, shift, level = t, ZERO, -1
         if self.gamma.is_finite():
@@ -115,7 +121,7 @@ class TreeHandle:
             pos, level = pos + k, level - 1
         if not chains or pos < len(labels):
             raise ValueError(f"node {t} is not in the tree")
-        return shift, chains
+        return t, shift, chains
 
     # -- structure ------------------------------------------------------
 
@@ -134,7 +140,7 @@ class TreeHandle:
     def children(self, t: Node) -> list[Node]:
         """The next label of the last chain; below a complete chain, the
         chain starts one level down (none below level 0)."""
-        shift, chains = self._chains(t)
+        t, shift, chains = self._chains(t)
         i, n, k = chains[-1]
         if k < n:
             return [t + (shift + (OMEGA.mul_nat(i) + Ordinal.from_int(n - k - 1)),)]
@@ -142,12 +148,12 @@ class TreeHandle:
 
     def is_max(self, t: Node) -> bool:
         """True maximality in the infinite tree (not bound-relative)."""
-        i, n, k = self._chains(t)[1][-1]
+        i, n, k = self._chains(t)[2][-1]
         return i == 0 and k == n
 
     def subtree_complete(self, t: Node) -> bool:
         """Whether the subtree below t is finite and fully materialized."""
-        return self._chains(t)[1][-1][0] == 0
+        return self._chains(t)[2][-1][0] == 0
 
     def residual_rank(self, t: Node) -> Ordinal:
         """Exact rank of the node in the derived trees of the full tree.
@@ -158,7 +164,7 @@ class TreeHandle:
         starts one level down, or 0 at level 0.  Its rank is
         ``w*i + (n-k)``.
         """
-        i, n, k = self._chains(t)[1][-1]
+        i, n, k = self._chains(t)[2][-1]
         return OMEGA.mul_nat(i) + Ordinal.from_int(n - k)
 
     def node_function(self, t: Node) -> StepFunction:
@@ -167,9 +173,14 @@ class TreeHandle:
         The last chain's function alternates +1/-1 on 2^k blocks of
         ``(0, w^i * 2^n]``; each complete chain above it, at level j with
         root index m, tiles that pattern on 2^m translates by ``w^j``.
+        Past ``MAX_PIECES`` pieces the node is refused with ValueError,
+        before any piece is built.
         """
-        chains = self._chains(t)[1]
+        chains = self._chains(t)[2]
         i, n, k = chains[-1]
+        # a complete chain holds its m labels, so the exponent is at most len(t)
+        if 2 ** (k + sum(m for _, m, _ in chains[:-1])) > MAX_PIECES:
+            raise ValueError(f"the function of node {t} has more than {MAX_PIECES} pieces")
         scale, width = omega_pow(i), 2 ** (n - k)
         pieces = [
             (Iv(scale.mul_nat(width * b), scale.mul_nat(width * (b + 1))),
@@ -254,10 +265,10 @@ def scheme_of(funcs: list[StepFunction]) -> CantorScheme:
     for depth, f in enumerate(funcs):
         # each parent cell is met only with the preimage pieces inside
         # it, so a level costs about its output, not 2^depth whole unions
-        preimages = {eps: IndexedUnion(f.preimage(float(eps))) for eps in (-1, 1)}
+        preimages = {eps: f.preimage(float(eps)) for eps in (-1, 1)}
         for d in product((-1, 1), repeat=depth):
             for eps in (-1, 1):
-                cells[d + (eps,)] = preimages[eps].meet(cells[d])
+                cells[d + (eps,)] = meet(preimages[eps], cells[d])
     return CantorScheme(depth=len(funcs), cells=cells)
 
 

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Mapping
 
 from .ordinal import Ordinal, as_ordinal
@@ -361,36 +361,22 @@ def verify_perm(xi, zeta, blocks) -> PermReport:
         if not member(conv, b) or not is_maximal(conv, b):
             raise ValueError(f"{b} is not a maximal block of the convolution")
     full = tuple(chain.from_iterable(blocks))
-
-    inner_bounds = []
-    pos = 0
-    for b in split_blocks(Base(xi), full):
-        pos += len(b)
-        inner_bounds.append(pos)
-    conv_bounds = []
-    pos = 0
-    for b in blocks:
-        pos += len(b)
-        conv_bounds.append(pos)
+    inner_bounds = list(accumulate(map(len, split_blocks(Base(xi), full))))
+    conv_bounds = list(accumulate(map(len, blocks)))
 
     # p = 1/r and q = 1/sqrt(r) for the descent products r, so each
     # identity is checked on those integers
     rp = _prefix_descent(xi, None, full)
     rq = _prefix_descent(zeta, xi, full)
 
-    def check_perm(values_full, bounds, evaluate):
+    def permanent(r, level, inner, bounds):
         # deleting the complete blocks before a prefix leaves its weight
-        # unchanged: compare against a fresh evaluation of each suffix
-        return all(values_full[cut:] == evaluate(full[cut:]) for cut in bounds[:-1])
-
-    if xi.is_zero():
-        perm_p = all(r == 1 for r in rp)
-    else:
-        perm_p = check_perm(rp, inner_bounds, lambda s: _prefix_descent(xi, None, s))
-    if zeta.is_zero():
-        perm_q = all(r == 1 for r in rq)
-    else:
-        perm_q = check_perm(rq, conv_bounds, lambda s: _prefix_descent(zeta, xi, s))
+        # unchanged: compare against a fresh evaluation of each suffix.
+        # At level 0 every weight is 1, which is checked without that
+        # quadratic work.
+        if level.is_zero():
+            return all(x == 1 for x in r)
+        return all(r[cut:] == _prefix_descent(level, inner, full[cut:]) for cut in bounds[:-1])
 
     @cache  # the l2 segments are the inner blocks again
     def p_sum(a: int, b: int) -> Fraction:
@@ -398,19 +384,16 @@ def verify_perm(xi, zeta, blocks) -> PermReport:
         den = math.lcm(*counts)
         return Fraction(sum(c * (den // r) for r, c in counts.items()), den)
 
-    convex = True
-    for a, b in zip([0] + inner_bounds, inner_bounds):
-        total = p_sum(a, b)
-        convex = convex and total == 1
+    def l2_sum_one(a: int, b: int) -> bool:
+        # q is constant on each inner segment of the block
+        cuts = [a, *(p for p in inner_bounds if a < p < b), b]
+        segments = list(zip(cuts, cuts[1:]))
+        return all(rq[sa:sb].count(rq[sa]) == sb - sa for sa, sb in segments) and (
+            sum(p_sum(sa, sb) ** 2 / rq[sa] for sa, sb in segments) == 1)
 
-    l2_convex = True
-    for a, b in zip([0] + conv_bounds, conv_bounds):
-        seg_starts = [a] + [p for p in inner_bounds if a < p < b] + [b]
-        total = Fraction(0)
-        constant_q = True
-        for sa, sb in zip(seg_starts, seg_starts[1:]):
-            constant_q = constant_q and rq[sa:sb].count(rq[sa]) == sb - sa
-            total += p_sum(sa, sb) ** 2 / rq[sa]
-        l2_convex = l2_convex and constant_q and total == 1
-
-    return PermReport(perm_p, perm_q, convex, l2_convex)
+    return PermReport(
+        permanent(rp, xi, None, inner_bounds),
+        permanent(rq, zeta, xi, conv_bounds),
+        all(p_sum(a, b) == 1 for a, b in zip([0, *inner_bounds], inner_bounds)),
+        all(l2_sum_one(a, b) for a, b in zip([0, *conv_bounds], conv_bounds)),
+    )

@@ -40,7 +40,7 @@ from ordtensor.schreier import (
     node_rank_exact,
     split_blocks,
 )
-from ordtensor.space import Iv, StepFunction, union_intersect
+from ordtensor.space import Iv, StepFunction, meet, normalize_union
 from ordtensor.tensor import pi_norm
 from ordtensor.weights import PermReport, Weight, p_prefix_weights, q_prefix_weights
 
@@ -162,7 +162,8 @@ def cantor_cells_reference(handle, branch) -> dict:
     for depth, f in enumerate(funcs):
         for d in product((-1, 1), repeat=depth):
             for eps in (-1, 1):
-                cells[d + (eps,)] = union_intersect(cells[d], f.preimage(float(eps)))
+                whole = normalize_union(f.preimage(float(eps)))
+                cells[d + (eps,)] = meet(whole, normalize_union(cells[d]))
     return cells
 
 

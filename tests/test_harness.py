@@ -460,6 +460,18 @@ class TestCli:
             "disjoint-supports", "staircase-weak-2-half", "staircase-weak-2"
         }
 
+    def test_perm_past_the_end_of_its_stream_skips(self, capsys):
+        # the stream ends before the fourth block; the three it gave are checked
+        argv = ["verify", "perm", "--xi", "0", "--zeta", "0", "--stream", "2,5,9",
+                "--blocks", "4"]
+        assert main(argv) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        skipped = [c for c in report["checks"] if c["skipped"]]
+        assert [(c["name"], c["check_id"], c["detail"]) for c in skipped] == [
+            ("block-4", "weights-block-materialization", "stream ended after 3 elements")
+        ]
+        assert len(report["checks"]) == 5 and report["passed"] is True
+
     @pytest.mark.parametrize("argv, expected", [
         (["verify", "all"], ScenarioConfig()),
         (["verify", "families"], ScenarioConfig()),
@@ -528,6 +540,7 @@ class TestCliInputErrors:
              "--block-budget", "0"],
             ["schreier", "decompose", "--family", "S[1]", "--stream", "3",
              "--block-budget", "-5"],
+            ["tree", "build", "--gamma", "1", "--node", ",".join(map(str, range(16, -1, -1)))],
         ],
         ids=["family", "set-order", "ragged-matrix", "verify-perm-blocks-0", "budget",
              "stream-exhausted", "empty-weak-1-family", "empty-weak-2-family",
@@ -535,7 +548,8 @@ class TestCliInputErrors:
              "eps-negative", "non-numeric-matrix", "scalar-family", "lower-samples-0",
              "groth-samples-negative", "weak-2-samples-negative", "pi-past-float-range",
              "perm-block-budget-negative", "sharpness-block-budget-0",
-             "decompose-block-budget-0", "decompose-block-budget-negative"],
+             "decompose-block-budget-0", "decompose-block-budget-negative",
+             "node-past-piece-budget"],
     )
     def test_exit_code_two(self, argv, capsys):
         assert main(argv) == 2

@@ -205,3 +205,17 @@ def test_hashable_and_immutable():
     assert hash(x) == hash(parse_ordinal("w^2 + 3"))
     with pytest.raises(AttributeError):
         x.terms = ()
+
+
+@given(st.integers(0, 2**70))
+def test_natural_numbers_hash_as_their_ints(n):
+    # equal values hash equal, so an Ordinal finds its int in a set or dict
+    assert F(n) == n and hash(F(n)) == hash(n)
+    assert F(n) in {n} and n in {F(n)}
+    assert {n: "int"}[F(n)] == "int" and {F(n): "ordinal"}[n] == "ordinal"
+    assert len({n, F(n)}) == 1
+
+
+def test_infinite_ordinals_are_no_int_keys():
+    assert W not in set(range(100)) and W + 1 not in {1, 2}
+    assert {W: 0, F(0): 1, 0: 2} == {W: 0, 0: 2}

@@ -163,7 +163,42 @@ class TestNodeChecks:
                 query(bad)
 
 
+def answer(query, t):
+    """A query's answer on t, or ValueError if it refuses t."""
+    try:
+        return query(t)
+    except ValueError:
+        return ValueError
+
+
 class TestChainReading:
+    @pytest.mark.parametrize("gamma", [1, 2, W], ids=["1", "2", "w"])
+    def test_int_labels_read_as_ordinals(self, gamma):
+        # a node with int labels is the node of the Ordinals they equal,
+        # whether or not it lies in the tree
+        h = build_tree(gamma, max_root=3)
+        nodes = [t for t in h.materialize() if all(lbl.is_finite() for lbl in t)]
+        nodes += [(F(3),), (F(3), F(1)), (F(2), F(1), F(0)), (F(3), F(0))]
+        for t in nodes:
+            ints = tuple(lbl.to_int() for lbl in t)
+            for query in (h.contains, h.children, h.is_max, h.residual_rank,
+                          h.node_function):
+                assert answer(query, ints) == answer(query, t)
+            if h.contains(t):
+                assert all(isinstance(lbl, Ordinal) for c in h.children(ints) for lbl in c)
+        assert any(h.contains(t) for t in nodes) == (gamma != 2)
+
+    def test_node_function_past_the_piece_budget_is_refused(self):
+        # one complete gamma-1 chain of L labels alternates on 2^L blocks,
+        # and the budget is 2^16 pieces
+        h = build_tree(1)
+        at_budget = tuple(F(j) for j in range(15, -1, -1))
+        past = (F(16),) + at_budget
+        assert h.contains(past) and h.residual_rank(past) == 0
+        with pytest.raises(ValueError, match="pieces"):
+            h.node_function(past)
+        assert len(h.node_function(at_budget).pieces) == 2**16
+
     @pytest.mark.parametrize("gamma", [1, 2, 3, W], ids=["1", "2", "3", "w"])
     def test_node_function_matches_recursive_construction(self, gamma):
         h = build_tree(gamma, max_root=3)
