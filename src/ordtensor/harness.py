@@ -50,6 +50,7 @@ from .space import (
     default_selector,
     disjoint,
     rademacher,
+    values_at,
     weak2_norm_squared_exact,
     weak_1_norm_exact,
 )
@@ -380,10 +381,11 @@ def run_family_suite(cfg: ScenarioConfig, rep: Report):
 
 
 def _common_denominator(values) -> tuple[list[int], int]:
-    """Exact rationals (or dyadic floats) as integers over one denominator."""
-    fracs = [Fraction(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
+    """Exact rationals (or dyadic floats) as integers over one denominator,
+    read from each value's integer ratio; ``inf`` and ``nan`` raise."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _exact_dot(a: tuple[list[int], int], b: tuple[list[int], int]) -> Fraction:
@@ -463,7 +465,7 @@ def run_sharpness(cfg: ScenarioConfig, rep: Report):
 
     # every branch function evaluated once at the leaf atoms; the exact
     # pairings and the tensor matrix below all read this table
-    values = [[f(pt) for pt in atoms] for f in branch_funcs]
+    values = values_at(branch_funcs, atoms)
     f_rows = [_common_denominator(row) for row in values]
     mu_rows = [_common_denominator([w for _, w in mu.atoms]) for mu in mus]
     bio = [[_exact_dot(mu_rows[di - 1], f_rows[dj - 1]) for dj in depths] for di in depths]
@@ -475,17 +477,22 @@ def run_sharpness(cfg: ScenarioConfig, rep: Report):
     # the first maximal S_(1+zeta)[S_xi] block of the stream) give the
     # segment coefficients a_i, the exact dual pairing of the averaged
     # tensor against sum_i a_i mu_(depth_i) x dirac_(block_i), and the
-    # float coefficients of its matrix
+    # float coefficients of its matrix.  A run of elements with one q,
+    # segment and block adds one pairing term, its p weights summed exactly
     a_weights, coeff = [], [0.0] * m
     qs_constant = True
     pairing = RadicalSum()
-    for q, p, s, b in zip(q_prefix_weights(xi, one_plus, E), p_prefix_weights(xi, E),
-                          seg_of, block_of):
+    elements = zip(q_prefix_weights(xi, one_plus, E), p_prefix_weights(xi, E),
+                   seg_of, block_of)
+    for (q, s, b), run in groupby(elements, key=operator.itemgetter(0, 2, 3)):
         if s == len(a_weights):
             a_weights.append(q)
         qs_constant = qs_constant and q == a_weights[s]
-        pairing.add(q * a_weights[b], p * bio[b][s])
-        coeff[s] += float(q) * float(p)
+        q_float, p_sum = float(q), Fraction(0)
+        for _, p, _, _ in run:
+            p_sum += p
+            coeff[s] += q_float * float(p)
+        pairing.add(q * a_weights[b], p_sum * bio[b][s])
     sum_sq = sum((a.square() for a in a_weights), Fraction(0))
     rep.compare(
         "coefficients square-sum",
@@ -758,7 +765,7 @@ def run_lower_bound_probe(cfg: ScenarioConfig, rep: Report):
     _, atoms, mus = _rademacher_system(funcs)
     # the trials draw only coefficients: the function values at the atoms
     # and the diagonal pairings mu_i(f_i) are the same in every trial
-    fvals = [np.array([f(pt) for pt in atoms]) for f in funcs]
+    fvals = [np.array(row) for row in values_at(funcs, atoms)]
     diag = [mu.pair(f) for mu, f in zip(mus, funcs)]
     m = len(funcs)
     for trial in range(trials):

@@ -31,6 +31,7 @@ __all__ = [
     "normalize_union",
     "meet",
     "StepFunction",
+    "values_at",
     "AtomicMeasure",
     "CantorScheme",
     "indicator",
@@ -201,26 +202,12 @@ class StepFunction:
             return NotImplemented
         if other.top != self.top:
             raise ValueError("domain tops differ")
-        cuts: set[Ordinal] = set()
-        for f in (self, other):
-            for iv, _ in f.pieces:
-                if iv.lo is not None:
-                    cuts.add(iv.lo)
-                cuts.add(iv.hi)
-        points = sorted(cuts)
-        atoms: list[Iv] = [Iv(None, ZERO)]
-        prev = ZERO
-        for p in points:
-            if p > prev:
-                atoms.append(Iv(prev, p))
-            prev = p
-        pieces = []
-        for atom in atoms:
-            rep = atom.least()
-            v = self(rep) + other(rep)
-            if v != 0:
-                pieces.append((atom, v))
-        return StepFunction(self.top, pieces)
+        # one atom between consecutive piece ends, each read at its least point
+        cuts = sorted({e for f in (self, other) for iv, _ in f.pieces for e in (iv.lo, iv.hi)
+                       if e is not None})
+        atoms = [Iv(None, ZERO)] + [Iv(a, b) for a, b in zip([ZERO, *cuts], cuts) if a < b]
+        mine, theirs = values_at((self, other), [atom.least() for atom in atoms])
+        return StepFunction(self.top, zip(atoms, map(operator.add, mine, theirs)))
 
     __radd__ = __add__
 
@@ -240,15 +227,38 @@ class StepFunction:
             return NotImplemented
         return self.top == other.top and self.pieces == other.pieces
 
-    def __hash__(self):
-        return hash((self.top, self.pieces))
-
     def to_json(self) -> list[dict]:
         return [{"interval": str(iv), "value": float(v)} for iv, v in self.pieces]
 
     def __repr__(self):
-        body = ", ".join(f"{iv}={v:g}" for iv, v in self.pieces)
+        body = ", ".join(f"{iv}={v}" for iv, v in self.pieces)
         return f"StepFunction[0,{self.top}]({body})"
+
+
+def values_at(funcs: Sequence[StepFunction], points: Sequence) -> list[list[float]]:
+    """Every function's values at the points, one row per function.
+
+    The points are sorted once, and each function's sorted pieces are
+    walked beside them in one merge: about ``pieces + 2 * points``
+    comparisons a row, where a lookup per point bisects the pieces.
+    """
+    pts = [as_ordinal(pt) for pt in points]
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    rows = []
+    for f in funcs:
+        if pts and pts[order[-1]] > f.top:
+            raise ValueError(f"{pts[order[-1]]} is outside [0, {f.top}]")
+        row, pieces, k = [0] * len(pts), f.pieces, 0
+        for j in order:
+            while k < len(pieces) and pieces[k][0].hi < pts[j]:
+                k += 1
+            if k == len(pieces):
+                break
+            iv, v = pieces[k]
+            if iv.lo is None or iv.lo < pts[j]:
+                row[j] = v
+        rows.append(row)
+    return rows
 
 
 def indicator(top, iv: Iv) -> StepFunction:
@@ -280,11 +290,8 @@ def weak_1_norm_exact(fs: Sequence[StepFunction]) -> Fraction:
     Extreme functionals of the dual ball are signed point evaluations,
     so the norm is the max over points of the coordinate-wise l_1 sum.
     """
-    best = Fraction(0)
-    for pt in _candidate_points(fs):
-        s = sum(abs(Fraction(f(pt))) for f in fs)
-        best = max(best, s)
-    return best
+    columns = zip(*values_at(fs, _candidate_points(fs)))
+    return max((sum(abs(Fraction(v)) for v in col) for col in columns), default=Fraction(0))
 
 
 # -- atomic measures ---------------------------------------------------
@@ -297,14 +304,16 @@ class AtomicMeasure:
     atoms: tuple[tuple[object, Fraction], ...]
 
     def __post_init__(self):
-        atoms = tuple((pt, Fraction(w)) for pt, w in self.atoms if w != 0)
+        atoms = tuple((pt, w if isinstance(w, Fraction) else Fraction(w))
+                      for pt, w in self.atoms if w != 0)
         if len({pt for pt, _ in atoms}) != len(atoms):
             raise ValueError("atom points must be distinct")
         object.__setattr__(self, "atoms", atoms)
 
     def pair(self, f: StepFunction) -> Fraction:
         """Exact pairing; function values must be dyadic floats."""
-        return sum((w * Fraction(f(pt)) for pt, w in self.atoms), Fraction(0))
+        (row,) = values_at([f], [pt for pt, _ in self.atoms])
+        return sum((w * Fraction(v) for (_, w), v in zip(self.atoms, row)), Fraction(0))
 
 
 # -- Cantor schemes and Rademacher measures -----------------------------
@@ -366,19 +375,14 @@ def rademacher(
     ``mu_i`` places weight ``eps_i / 2^depth`` at the selected point of
     each leaf cell ``(eps_1, ..., eps_m)``.
     """
-    m = scheme.depth
-    for d in scheme.leaves():
+    leaves = scheme.leaves()
+    for d in leaves:
         pt = selector[d]
         if not any(iv.contains(pt) for iv in scheme.cells[d]):
             raise ValueError(f"selector point {pt} is outside its cell {d}")
-    denom = 2**m
-    out = []
-    for i in range(m):
-        atoms = [
-            (selector[d], Fraction(d[i], denom)) for d in scheme.leaves()
-        ]
-        out.append(AtomicMeasure(tuple(atoms)))
-    return tuple(out)
+    weight = {eps: Fraction(eps, 2**scheme.depth) for eps in (-1, 1)}  # shared by all atoms
+    return tuple(AtomicMeasure(tuple((selector[d], weight[d[i]]) for d in leaves))
+                 for i in range(scheme.depth))
 
 
 def weak2_norm_squared_exact(measures: Sequence[AtomicMeasure]) -> Fraction:

@@ -47,6 +47,9 @@ Node = tuple[Ordinal, ...]
 # node functions are built piece by piece: a node whose function has more
 # pieces than this is refused, not built
 MAX_PIECES = 2**16
+# and so is a node whose blocks are wider than 2 to this power, before
+# the width is computed: every piece end is a multiple of the width
+MAX_WIDTH_EXPONENT = 64
 
 
 class BoundsError(ValueError):
@@ -173,7 +176,8 @@ class TreeHandle:
         The last chain's function alternates +1/-1 on 2^k blocks of
         ``(0, w^i * 2^n]``; each complete chain above it, at level j with
         root index m, tiles that pattern on 2^m translates by ``w^j``.
-        Past ``MAX_PIECES`` pieces the node is refused with ValueError,
+        Past ``MAX_PIECES`` pieces, or blocks wider than
+        ``2^MAX_WIDTH_EXPONENT``, the node is refused with ValueError,
         before any piece is built.
         """
         chains = self._chains(t)[2]
@@ -181,6 +185,9 @@ class TreeHandle:
         # a complete chain holds its m labels, so the exponent is at most len(t)
         if 2 ** (k + sum(m for _, m, _ in chains[:-1])) > MAX_PIECES:
             raise ValueError(f"the function of node {t} has more than {MAX_PIECES} pieces")
+        if n - k > MAX_WIDTH_EXPONENT:
+            raise ValueError(f"the function of node {t} has blocks of width 2^{n - k}, "
+                             f"past 2^{MAX_WIDTH_EXPONENT}")
         scale, width = omega_pow(i), 2 ** (n - k)
         pieces = [
             (Iv(scale.mul_nat(width * b), scale.mul_nat(width * (b + 1))),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,6 +19,7 @@ from ordtensor.harness import (
     Check,
     Report,
     ScenarioConfig,
+    _common_denominator,
     _hereditary,
     _spreading,
     main,
@@ -268,6 +270,15 @@ def _double_entry(prefix_weights, k):
     return doubled
 
 
+def _negate_first_value(values_at):
+    """The value table, but the root function's value at the first atom negated."""
+    def negated(*args):
+        rows = values_at(*args)
+        rows[0][0] = -rows[0][0]
+        return rows
+    return negated
+
+
 def _swap_first_two(rademacher):
     def swapped(*args):
         mus = rademacher(*args)
@@ -308,6 +319,37 @@ class TestSharpnessVerdicts:
         rep = run_sharpness(self.CFG)
         assert {c.check_id for c in rep.checks if not c.passed} == failing
         assert len(rep.checks) == 9
+
+    def test_a_negated_table_value_fails_its_verdicts(self, monkeypatch):
+        # every exact pairing reads the swept value table; the dual
+        # pairing reads its diagonal, so it fails beside the two named
+        monkeypatch.setattr(harness, "values_at", _negate_first_value(harness.values_at))
+        rep = run_sharpness(self.CFG)
+        assert {c.check_id for c in rep.checks if not c.passed} == {
+            "rademacher-biorthogonality", "tensor-dual-pairing-one",
+            "tensor-pi-lower-bound-exact"}
+        assert len(rep.checks) == 9
+
+
+dyadic_floats = st.builds(lambda n, k: n / 2**k, st.integers(-2**60, 2**60), st.integers(0, 80))
+
+
+class TestCommonDenominator:
+    """Integer rows read from integer ratios, against the Fraction route."""
+
+    @given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4),
+                              dyadic_floats, st.floats(allow_nan=False, allow_infinity=False))))
+    def test_matches_the_fraction_route(self, values):
+        fracs = [Fraction(v) for v in values]
+        den = math.lcm(*(f.denominator for f in fracs))
+        assert _common_denominator(values) == (
+            [f.numerator * (den // f.denominator) for f in fracs], den)
+
+    @pytest.mark.parametrize("bad, error", [(math.inf, OverflowError),
+                                            (-math.inf, OverflowError), (math.nan, ValueError)])
+    def test_rejects_inf_and_nan(self, bad, error):
+        with pytest.raises(error):
+            _common_denominator([Fraction(1, 3), 0.5, bad, 2])
 
 
 @st.composite
@@ -560,6 +602,14 @@ class TestCliInputErrors:
         assert "Traceback" not in captured.err
         if "--block-budget" in argv and int(argv[argv.index("--block-budget") + 1]) < 1:
             assert "budget" in lines[0]
+
+    def test_node_past_the_width_bound_names_the_node(self, capsys):
+        # the node's blocks are 2^20000 wide: refused before any end is
+        # computed, rather than failing to print a 6021-digit coefficient
+        assert main(["tree", "build", "--gamma", "1", "--node", "20000"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("ordtensor: error: the function of node (Ordinal[20000],) "
+                       "has blocks of width 2^20000, past 2^64\n")
 
     @pytest.mark.parametrize(
         "argv",

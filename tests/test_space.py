@@ -17,6 +17,7 @@ from ordtensor.space import (
     meet,
     normalize_union,
     rademacher,
+    values_at,
     weak2_norm_squared_exact,
     weak_1_norm_exact,
 )
@@ -153,11 +154,74 @@ class TestStepFunction:
         assert h(3) == Fraction(2, 3)
         assert (Fraction(3) * f)(1) == Fraction(1)
 
+    def test_immutable_and_printed_with_exact_values(self):
+        f = StepFunction(F(4), [(Iv(None, F(1)), 1.0), (iv(2, 4), Fraction(-1, 3))])
+        with pytest.raises(AttributeError, match="immutable"):
+            f.top = W
+        assert repr(f) == "StepFunction[0,4]([0,1]=1.0, (2,4]=-1/3)"
+
     def test_ordinal_pieces(self):
         f = StepFunction(omega_pow(2), [(Iv(W.mul_nat(2), W.mul_nat(4)), -1.0)])
         assert f(W.mul_nat(3)) == -1.0
         assert f(W.mul_nat(2)) == 0
         assert f(W.mul_nat(4)) == -1.0
+
+
+# a small ordinal domain [0, w*2] with limit points; piece ends are drawn
+# from ENDS, so every point of an atom between two ends is read at the
+# atom's least point, and POINTS meets every atom of every drawn function
+ENDS = [F(0), F(1), F(2), F(3), W, W + 1, W + 2, W.mul_nat(2)]
+POINTS = sorted(set(ENDS) | {e + 1 for e in ENDS[:-1]})
+values = st.one_of(
+    st.integers(-4, 4).map(lambda n: n / 2),
+    st.fractions(-2, 2, max_denominator=6),
+)
+
+
+@st.composite
+def step_functions(draw):
+    """Step functions on [0, w*2]: float or Fraction values, a zero value
+    left as a gap, the first piece perhaps from 0 itself."""
+    ends = sorted(draw(st.sets(st.sampled_from(ENDS), min_size=1)))
+    lo = None if draw(st.booleans()) else ends.pop(0)
+    pieces = []
+    for hi in ends:
+        pieces.append((Iv(lo, hi), draw(st.one_of(st.just(0), values))))
+        lo = hi
+    return StepFunction(W.mul_nat(2), pieces)
+
+
+class TestValuesAt:
+    """The sweep against one lookup per point."""
+
+    @given(st.lists(step_functions(), max_size=3), st.lists(st.sampled_from(POINTS), max_size=12))
+    def test_matches_pointwise(self, fs, pts):
+        # the drawn points are unsorted and repeated; piece ends, gaps
+        # and the top are all among them
+        rows = values_at(fs, pts)
+        assert rows == [[f(pt) for pt in pts] for f in fs]
+        assert [list(map(type, r)) for r in rows] == [[type(f(pt)) for pt in pts] for f in fs]
+
+    def test_reads_int_points_and_refuses_points_past_the_top(self):
+        f = StepFunction(F(4), [(Iv(None, F(0)), 2.0), (iv(1, 3), Fraction(1, 2))])
+        assert values_at([f], [3, 0, 1, 4, 2, 0]) == [[Fraction(1, 2), 2.0, 0, 0, Fraction(1, 2), 2.0]]
+        assert values_at([f], []) == [[]] and values_at([], [1, 2]) == []
+        with pytest.raises(ValueError, match="outside"):
+            values_at([f], [F(2), F(5)])
+
+    @given(step_functions(), step_functions())
+    def test_sum_is_pointwise(self, f, g):
+        assert all((f + g)(pt) == f(pt) + g(pt) for pt in POINTS)
+
+    @given(st.lists(step_functions(), max_size=3))
+    def test_weak_1_norm_is_the_max_over_points(self, fs):
+        expected = max((sum(abs(Fraction(f(pt))) for f in fs) for pt in POINTS), default=0)
+        assert weak_1_norm_exact(fs) == expected
+
+    @given(step_functions(), st.dictionaries(st.sampled_from(POINTS), values, max_size=6))
+    def test_pairing_is_the_weighted_sum(self, f, weights):
+        mu = AtomicMeasure(tuple(weights.items()))
+        assert mu.pair(f) == sum(Fraction(w) * Fraction(f(pt)) for pt, w in weights.items())
 
 
 class TestDisjointAndWeakNorms:

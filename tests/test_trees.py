@@ -12,6 +12,7 @@ from ordtensor.space import (
     rademacher,
 )
 from ordtensor.trees import (
+    MAX_WIDTH_EXPONENT,
     BoundsError,
     TreeHandle,
     block_map_path,
@@ -198,6 +199,15 @@ class TestChainReading:
         with pytest.raises(ValueError, match="pieces"):
             h.node_function(past)
         assert len(h.node_function(at_budget).pieces) == 2**16
+
+    def test_node_function_past_the_width_bound_is_refused(self):
+        # a gamma-1 root n - 1 alternates on blocks of width 2^(n - 1),
+        # and the bound is checked before the width is computed
+        h = build_tree(1)
+        assert h.node_function((F(MAX_WIDTH_EXPONENT),)).pieces[-1][0].hi == 2 ** (MAX_WIDTH_EXPONENT + 1)
+        for label in (MAX_WIDTH_EXPONENT + 1, 20000, 10**9):
+            with pytest.raises(ValueError, match=rf"node \(Ordinal\[{label}\],\) has blocks of width"):
+                h.node_function((F(label),))
 
     @pytest.mark.parametrize("gamma", [1, 2, 3, W], ids=["1", "2", "3", "w"])
     def test_node_function_matches_recursive_construction(self, gamma):
