@@ -616,7 +616,7 @@ def run_blocking_demo(cfg: ScenarioConfig, rep: Report):
             "<=",
             GROTHENDIECK_BOUND,
             ".6f",
-            tol=1e-9,
+            tol=LP_TOL,
         )
     rep.compare(
         "weak-2 lower of staircase",
@@ -626,7 +626,7 @@ def run_blocking_demo(cfg: ScenarioConfig, rep: Report):
         "<=",
         2 * GROTHENDIECK_BOUND,
         ".6f",
-        tol=1e-9,
+        tol=LP_TOL,
     )
 
 
@@ -720,7 +720,7 @@ def run_groth_probe(cfg: ScenarioConfig, rep: Report):
         "<=",
         GROTHENDIECK_BOUND,
         ".6f",
-        tol=1e-9,
+        tol=LP_TOL,
     )
     rep.compare(
         "single elementary tensor",
@@ -730,7 +730,7 @@ def run_groth_probe(cfg: ScenarioConfig, rep: Report):
         "<=",
         1,
         ".12f",
-        tol=1e-9,
+        tol=LP_TOL,
     )
     disj = [np.outer(np.eye(4)[k], gs[k]) for k in range(4)]
     rep.compare(
@@ -741,7 +741,7 @@ def run_groth_probe(cfg: ScenarioConfig, rep: Report):
         "<=",
         weak_1_norm_pi(disj),
         "{value:.6f} (weak-1 {bound:.6f})",
-        tol=1e-9,
+        tol=LP_TOL,
     )
 
 

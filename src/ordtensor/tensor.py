@@ -15,7 +15,7 @@ finite.  Over these models:
   call site, :func:`linprog`, scipy's ``milp`` with no integer variable.
   The certificate form runs as one epigraph LP, or as cutting planes
   with HiGHS presolve off, by block shape (:func:`_takes_cutting` holds
-  the rule and its measurements).
+  the rule and its measurements); answers are keyed on the block.
 
 Weakly p-summing norms of vector and matrix families are provided with
 the budgets they admit: exact sign enumeration for the weak-1 norm, and
@@ -691,30 +691,29 @@ class PiSolver:
     ``MAX_JOINT_EPIGRAPH_VARS`` epigraph variables, and the blocks that
     take cutting planes one at a time.  :meth:`solve_all` does the same
     for many matrices at once, each split into its normal form once, so
-    that the blocks of all of them share the joint LPs; the signed sums
-    of a weak-1 family go this way.  The value is the
-    largest block value, and the certificate is the winning block's
-    ``B`` put back on the block's rows and columns with their signs,
-    zero elsewhere, its bound recomputed by :func:`sign_norm`.  An LP is
-    only as exact as HiGHS's tolerances, which an entry below about 1e-7
-    of the largest one can slip under; solving every matrix on its
-    normal form gives a signed permutation or a transpose of it the very
-    same LP, and so the very same value.  Where that value falls short
-    of the largest entry, the entry's one-entry form is the certificate
-    and the entry the value.
+    that their new blocks share the joint LPs; the signed sums of a
+    weak-1 family go this way.  The value is the first largest block
+    value, and the certificate that block's ``B`` put back on its rows
+    and columns with their signs, zero elsewhere, its bound recomputed
+    by :func:`sign_norm`.  An LP is only as exact as HiGHS's tolerances,
+    which an entry below about 1e-7 of the largest one can slip under;
+    on the normal form, a signed permutation or a transpose of a matrix
+    has the same blocks, and so the very same block answers.  Where the
+    value falls short of the largest entry, the entry's one-entry form
+    is the certificate and the entry the value.
 
     The LP budget applies to each input's shape, before its normal
     form.  A solver takes matrices of any shape and can be reused
-    (sign enumerations, ascent iterations): a matrix it has seen
-    returns its first answer, the same objects, and a matrix with the
-    LP blocks of one it has solved, such as a signed permutation or a
-    transpose of it, costs no new LP (HiGHS is deterministic, so that
-    is what a new LP of the same blocks would give).
+    (sign enumerations, ascent iterations).  Its memos are keyed on
+    shape and bytes: ``_solved`` on the input, which returns a seen
+    matrix's first answer, the same objects, and ``_blocks`` on the
+    block, which values each normal-form block once, in the first joint
+    LP that holds it, whatever matrix it turns up in.
     """
 
     def __init__(self):
         self._solved: dict[tuple, tuple[float, DualCertificate]] = {}
-        self._forms: dict[tuple, list[tuple[float, np.ndarray]]] = {}
+        self._blocks: dict[tuple, tuple[float, np.ndarray]] = {}
 
     def solve(self, U: np.ndarray) -> tuple[float, DualCertificate]:
         """Optimal value and certificate; a matrix seen before by this
@@ -723,42 +722,40 @@ class PiSolver:
 
     @np.errstate(over="ignore")
     def solve_all(self, Us) -> list[tuple[float, DualCertificate]]:
-        """``[self.solve(U) for U in Us]``, with the LP blocks of all the
-        matrices not seen before solved together: each is split into its
-        normal form once, and the LP blocks of every form not in
-        ``_forms`` go to :func:`_lp` at once.  Sums of entries near the
-        top of the float range may overflow on the way, harmlessly; a
-        value past the range raises ``ValueError`` in :meth:`_assemble`."""
+        """``[self.solve(U) for U in Us]``, with the blocks of the matrices
+        not seen before valued together: each block not in ``_blocks``
+        once, by its largest entry if :func:`_rank_one` accepts it, else
+        in one :func:`_lp` call.  Sums of entries near the top of the
+        float range may overflow on the way, harmlessly; a value past the
+        range raises ``ValueError`` in :meth:`_assemble`."""
         keys, new = [], {}
         for U in map(_as_array, Us):
             _check_lp_budget(*U.shape)
-            keys.append((U.shape, U.tobytes()))
+            keys.append(_key(U))
             if keys[-1] not in self._solved:
                 new.setdefault(keys[-1], U)
-        splits = {key: _rank_one_split(U) for key, U in new.items()}
-        forms = {}
-        for _, rest in splits.values():
-            form = _form_key(rest)
-            if rest and form not in self._forms:
-                forms[form] = rest
-        solved = iter(_lp([b.matrix for rest in forms.values() for b in rest]))
-        for form, rest in forms.items():
-            self._forms[form] = [next(solved) for _ in rest]
+        forms = {key: normal_form(U) for key, U in new.items()}
+        lp = {}
+        for W in (b.matrix for blocks in forms.values() for b in blocks):
+            key = _key(W)
+            if key in self._blocks or key in lp:
+                continue
+            if _rank_one(W):
+                self._blocks[key] = _line_value(W)
+            else:
+                lp[key] = W
+        self._blocks.update(zip(lp, _lp(list(lp.values()))))
         for key, U in new.items():
-            self._solved[key] = self._assemble(U, *splits[key])
+            self._solved[key] = self._assemble(U, forms[key])
         return [self._solved[key] for key in keys]
 
-    def _assemble(self, U: np.ndarray, elementary: list, rest: list):
-        """Value and certificate of U from its rank-one blocks and its LP
-        blocks, whose form is in ``_forms``."""
-        if not elementary and not rest:  # the zero matrix
+    def _assemble(self, U: np.ndarray, blocks: tuple[Block, ...]):
+        """Value and certificate of U from ``_blocks`` and its blocks."""
+        if not blocks:  # the zero matrix
             B = np.zeros(U.shape)
             B[0, 0] = 1.0
             return 0.0, _certificate(B)
-        results = [_line_value(b.matrix) for b in elementary]
-        if rest:
-            results += self._forms[_form_key(rest)]
-        blocks = elementary + rest
+        results = [self._blocks[_key(b.matrix)] for b in blocks]
         best = max(range(len(blocks)), key=lambda i: results[i][0])
         value, B = results[best]
         if math.isinf(value):
@@ -772,22 +769,13 @@ class PiSolver:
         return value, _certificate(B)
 
 
+def _key(W: np.ndarray) -> tuple:
+    """A memo key: equal bytes of another shape are another matrix."""
+    return W.shape, W.tobytes()
+
+
 def _certificate(B: np.ndarray) -> DualCertificate:
     return DualCertificate(B, max(sign_norm(B), 1e-300))
-
-
-def _rank_one_split(U: np.ndarray) -> tuple[list[Block], list[Block]]:
-    """The blocks of U's normal form of rank one, and the rest."""
-    blocks = normal_form(U)
-    rank_one = [_rank_one(b.matrix) for b in blocks]
-    return (
-        [b for b, r in zip(blocks, rank_one) if r],
-        [b for b, r in zip(blocks, rank_one) if not r],
-    )
-
-
-def _form_key(blocks) -> tuple:
-    return tuple((b.matrix.shape, b.matrix.tobytes()) for b in blocks)
 
 
 @np.errstate(over="ignore")

@@ -160,7 +160,7 @@ class RadicalSum:
         return NotImplemented
 
     def __float__(self):
-        return sum(float(c) / r**0.5 for r, c in self._terms.items())
+        return sum((float(c) / r**0.5 for r, c in self._terms.items()), 0.0)
 
     def __repr__(self):
         if not self._terms:

@@ -5,6 +5,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import block_diag
 
 from ordtensor import harness, tensor
 from ordtensor.tensor import (
@@ -702,10 +703,44 @@ class TestPiSolver:
         assert solver.solve_all([v, w])[0] is got[1]
         assert len(forms) == 1  # only w is new
 
+    def test_a_block_shared_with_another_matrix_is_valued_once(self, monkeypatch):
+        handed = []
+        real = tensor._lp
+
+        def spy(mats):
+            handed.append(len(mats))
+            return real(mats)
+
+        monkeypatch.setattr(tensor, "_lp", spy)
+        local = np.random.default_rng(41)
+        A, B, C = (local.uniform(-1, 1, (3, 3)) for _ in range(3))
+        solver = PiSolver()
+        pairs = [block_diag(A, B), block_diag(A, C)]
+        got = [solver.solve(U) for U in pairs]
+        assert handed == [2, 1]  # A (+) C hands only C to the LPs
+        for U, (value, cert) in zip(pairs, got):
+            assert abs(value - pi_norm(U)[0]) < 1e-9
+            assert abs(pair_dual(U, cert) / cert.bound - value) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(matrices(max_rows=3, max_cols=3, entries=coarse_entries), min_size=3, max_size=3),
+        st.booleans(),
+    )
+    def test_shared_blocks_match_fresh_solves(self, parts, together):
+        # A (+) B and A (+) C share A, in one solve_all or one after the other
+        A, B, C = parts
+        pairs = [block_diag(A, B), block_diag(A, C)]
+        solver = PiSolver()
+        got = solver.solve_all(pairs) if together else [solver.solve(U) for U in pairs]
+        for U, (value, cert) in zip(pairs, got):
+            assert abs(value - pi_norm(U)[0]) < 1e-9
+            assert abs(pair_dual(U, cert) / cert.bound - value) < 1e-9
+
     def test_solver_keeps_only_its_answers(self):
         solver = PiSolver()
         solver.solve_all([np.random.default_rng(7).uniform(-1, 1, (3, 4)), np.eye(2)])
-        assert sorted(vars(solver)) == ["_forms", "_solved"]
+        assert sorted(vars(solver)) == ["_blocks", "_solved"]
 
     def test_solve_all_checks_each_input_budget(self):
         with pytest.raises(BudgetError):

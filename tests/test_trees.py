@@ -140,6 +140,10 @@ class TestLimitTree:
         assert f(1) == 1.0 and f(2) == -1.0
         assert f(W) == 0
 
+    def test_handle_prints_gamma_and_max_root(self):
+        assert repr(build_tree(W, max_root=3)) == "TreeHandle(gamma=w, max_root=3)"
+        assert repr(build_tree(2)) == "TreeHandle(gamma=2, max_root=6)"
+
     def test_rejects_unsupported_gamma(self):
         with pytest.raises(NotImplementedError):
             build_tree(omega_pow(2))

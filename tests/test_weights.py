@@ -92,6 +92,13 @@ class TestRadicalSum:
         assert s.as_rational() is None
         assert s != 1
 
+    def test_float_and_repr_read_each_radicand(self):
+        s = RadicalSum()
+        assert float(s) == 0.0 and repr(s) == "RadicalSum(0)"
+        s.add(Weight(Fraction(1), 2), 3).add(Weight(Fraction(1)), Fraction(1, 2))
+        assert float(s) == 0.5 + 3 / math.sqrt(2)
+        assert repr(s) == "RadicalSum(1/2 + 3/sqrt(2))"
+
 
 class TestPWeight:
     def test_examples(self):
