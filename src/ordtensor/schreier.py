@@ -200,9 +200,15 @@ def _take_block(fam: Family, source, start: int) -> int:
     stream (:class:`_Buffered`) raises on exhaustion instead, so the
     block returned is a complete maximal member.  Pulls exactly the
     elements it needs.
+
+    ``S_0`` is the family of singletons, so the minima of ``S_0`` blocks
+    are the elements themselves and an ``S_zeta[S_0]`` block is an
+    ``S_zeta`` block: it is walked as one, with no view of minima.
     """
     if isinstance(fam, Base):
         return _base_block_end(fam.xi, source, start)
+    if fam.xi.is_zero():
+        return _base_block_end(fam.zeta, source, start)
     view = _MinimaView(fam.xi, source, start)
     return view.position(_base_block_end(fam.zeta, view, 0))
 

@@ -109,7 +109,10 @@ def meet(union: tuple[Iv, ...], u: tuple[Iv, ...]) -> tuple[Iv, ...]:
     the answer, not a scan of the whole union.  The pieces come out
     sorted, and separated by the gaps of either side, so they need no
     merging.  A normalized form is unique to its point set, so
-    ``meet(union, u) == u`` says that ``u`` lies inside ``union``.
+    ``meet(union, u) == u`` says that ``u`` lies inside ``union``.  Its
+    callers: ``trees.scheme_of`` (one meet a cell), the nesting and
+    overlap checks of :class:`CantorScheme`, :func:`compatible` and
+    :func:`disjoint`.
     """
     out, hi = [], operator.attrgetter("hi")
     for iv in u:

@@ -6,7 +6,8 @@ weights are computed by a definition-literal recursion driven by that
 membership test.  Everything here is exponential and meant for small
 ground sets only.  The remaining oracles are the plain definitions that
 the library's fast paths replace: the recursive CNF comparison, interval
-unions as point sets, Cantor-scheme cells by whole-union intersection,
+unions as point sets, Cantor-scheme cells by whole-union intersection
+and, with their validation and compatibility, one point at a time,
 the block map with every prefix split on its own, the spreads of a
 set listed one by one, the tree node functions by the recursive
 construction, the projective-norm epigraph matrix built entry
@@ -165,6 +166,53 @@ def cantor_cells_reference(handle, branch) -> dict:
                 whole = normalize_union(f.preimage(float(eps)))
                 cells[d + (eps,)] = meet(whole, normalize_union(cells[d]))
     return cells
+
+
+def points_of(u, points) -> frozenset:
+    """The given points that a union of intervals covers."""
+    return frozenset(pt for pt in points if any(iv.contains(pt) for iv in u))
+
+
+def scheme_cells_by_points(funcs, points) -> dict:
+    """The cells of the Cantor scheme of a branch's functions as point
+    sets, read one point at a time: the root cell is where the first
+    function is not 0, and the cell d is where the function i is d[i]
+    for every i, inside the root cell."""
+    root = frozenset(pt for pt in points if funcs[0](pt) != 0)
+    cells = {(): root}
+    for k in range(1, len(funcs) + 1):
+        for d in product((-1, 1), repeat=k):
+            cells[d] = frozenset(pt for pt in root if all(f(pt) == e for f, e in zip(funcs, d)))
+    return cells
+
+
+def scheme_fault_by_points(cells, depth: int, points):
+    """The message with which a Cantor scheme of these cells is refused,
+    or None, read on point sets: the first missing or empty cell, level
+    by level, then the first parent (level by level, each level in
+    ``product`` order) whose children are not nested in it, or overlap."""
+    for k in range(depth + 1):
+        for d in product((-1, 1), repeat=k):
+            if d not in cells:
+                return f"missing cell {d}"
+            if not points_of(cells[d], points):
+                return f"cell {d} is empty"
+    pts = {d: points_of(cell, points) for d, cell in cells.items()}
+    for k in range(depth):
+        for d in product((-1, 1), repeat=k):
+            minus, plus = pts[d + (-1,)], pts[d + (1,)]
+            if not (minus <= pts[d] and plus <= pts[d]):
+                return f"children of {d} not nested"
+            if minus & plus:
+                return f"children of {d} overlap"
+    return None
+
+
+def compatible_by_points(funcs, cells, points) -> bool:
+    """Whether ``funcs[i-1]`` is ``d[-1]`` at every point of every cell d
+    of length i, read one point at a time."""
+    return all(funcs[len(d) - 1](pt) == d[-1]
+               for d, cell in cells.items() if d for pt in points_of(cell, points))
 
 
 def node_function_reference(gamma, t):

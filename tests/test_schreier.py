@@ -348,6 +348,59 @@ class TestStepwiseAgreement:
             assert got[0] is BudgetExceeded and pulled == 40
 
 
+class TestConvolutionOfSingletons:
+    """S_0 is the family of singletons, so S_zeta[S_0] is S_zeta: its
+    blocks, errors and element pulls are those of the base family."""
+
+    def test_block_is_walked_as_one_base_block(self, monkeypatch):
+        # a walk of the minima view takes one S_0 block per element: a
+        # 21-element block would cost 22 block walks, and one past the
+        # budget over 5000
+        import ordtensor.schreier as schreier
+
+        calls = []
+
+        def counting(xi, source, start):
+            calls.append(xi)
+            return real(xi, source, start)
+
+        real = schreier._base_block_end
+        monkeypatch.setattr(schreier, "_base_block_end", counting)
+        got = decompose(Conv(2, 0), count(3), 1, max_elements=5000)
+        assert got == (tuple(range(3, 24)),)
+        assert len(calls) <= 2
+        calls.clear()
+        with pytest.raises(BudgetExceeded):
+            decompose(Conv(2, 0), count(3), 3, max_elements=5000)
+        assert len(calls) <= 3
+
+    STREAMS = [
+        ("endless past the budget", lambda: count(3), 3, 5000),
+        ("small budget", lambda: count(5), 2, 7),
+        ("small minima", lambda: count(1), 4, 5000),
+        ("finite", lambda: [2, 3, 5, 8, 13, 21, 34], 3, None),
+        ("not increasing", lambda: [3, 4, 4, 9], 2, None),
+        ("not an integer", lambda: [3, 4, "x", 9], 2, None),
+        ("sparse", lambda: (n * n for n in range(2, 60)), 2, None),
+    ]
+
+    @pytest.mark.parametrize("zeta", LEVELS, ids=str)
+    @pytest.mark.parametrize("stream, k, budget", [s[1:] for s in STREAMS],
+                             ids=[s[0] for s in STREAMS])
+    def test_decompose_as_the_base_family(self, zeta, stream, k, budget):
+        conv = outcome(decompose, Conv(zeta, 0), stream(), k, budget)
+        assert conv == outcome(decompose, Base(zeta), stream(), k, budget)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(LEVELS), increasing_tuples(), st.integers(1, 3),
+           st.one_of(st.none(), st.integers(1, 150)))
+    def test_same_blocks_on_any_set(self, zeta, seq, k, budget):
+        assert outcome(decompose, Conv(zeta, 0), seq, k, budget) == outcome(
+            decompose, Base(zeta), seq, k, budget)
+        assert all(_take_block(Conv(zeta, 0), seq, i) == _take_block(Base(zeta), seq, i)
+                   for i in range(len(seq) + 1))
+
+
 class TestMembers:
     """The walk by extension finds exactly the members of a ground set."""
 

@@ -1,8 +1,9 @@
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ordtensor.ordinal import OMEGA, Ordinal, omega_pow
 from ordtensor.space import (
@@ -22,7 +23,12 @@ from ordtensor.space import (
     weak_1_norm_exact,
 )
 
-from oracles import union_points
+from oracles import (
+    compatible_by_points,
+    points_of,
+    scheme_fault_by_points,
+    union_points,
+)
 
 F = Ordinal.from_int
 W = OMEGA
@@ -324,6 +330,107 @@ class TestCantorScheme:
         assert sel[(1, 1)] == F(1)
         assert sel[(1, -1)] == F(2)
         assert sel[(-1, -1)] == F(4)
+
+
+# the atoms of [0, w*2] between consecutive ENDS; POINTS meets each of them
+ATOMS = [Iv(None, ENDS[0])] + [Iv(a, b) for a, b in zip(ENDS, ENDS[1:])]
+
+
+def sign_sequences(k: int):
+    return st.tuples(*[st.sampled_from((-1, 1))] * k)
+
+
+@st.composite
+def atom_labels(draw):
+    """A depth and a leaf (sign sequence) or None for every atom, each
+    leaf on at least one atom: a leaf on atoms apart has a cell of several
+    pieces."""
+    depth = draw(st.integers(1, 3))
+    leaves = list(product((-1, 1), repeat=depth))
+    rest = [draw(st.one_of(st.none(), st.sampled_from(leaves)))
+            for _ in range(len(ATOMS) - len(leaves))]
+    return depth, draw(st.permutations(leaves + rest))
+
+
+def labelled_cells(depth, labels) -> dict:
+    """Every cell of the labelling: the atoms whose leaf extends it."""
+    return {d: tuple(a for a, leaf in zip(ATOMS, labels) if leaf and leaf[:len(d)] == d)
+            for k in range(depth + 1) for d in product((-1, 1), repeat=k)}
+
+
+def labelled_functions(depth, labels, changes=()) -> list:
+    """The functions of a labelling, ``d[i]`` on an atom of leaf d and 0
+    off the root, with the value of function i on atom a set to v for
+    each change ``(i, a, v)``."""
+    table = [[leaf[i] if leaf else 0 for leaf in labels] for i in range(depth)]
+    for i, a, v in changes:
+        table[i % depth][a] = v
+    return [StepFunction(W.mul_nat(2), zip(ATOMS, row)) for row in table]
+
+
+class TestSchemesOnPoints:
+    """Scheme validation and compatibility against their definitions read
+    one point at a time, on schemes of several-piece cells."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(atom_labels(), st.data())
+    def test_refusal_names_the_first_fault(self, labelled, data):
+        # a labelling gives a valid scheme; each extra atom put into a
+        # cell may break the nesting or the disjointness of some parent
+        depth, labels = labelled
+        cells = labelled_cells(depth, labels)
+        extras = data.draw(st.lists(st.tuples(
+            st.integers(1, depth).flatmap(sign_sequences), st.sampled_from(ATOMS)), max_size=3))
+        for d, atom in extras:
+            cells[d] += (atom,)
+        fault = scheme_fault_by_points(cells, depth, POINTS)
+        if fault is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+                CantorScheme(depth=depth, cells=cells)
+            return
+        scheme = CantorScheme(depth=depth, cells=cells)
+        for d, cell in scheme.cells.items():
+            assert normalize_union(cell) == cell
+            assert points_of(cell, POINTS) == points_of(cells[d], POINTS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(atom_labels(), st.lists(st.tuples(st.integers(0, 2), st.integers(0, len(ATOMS) - 1),
+                                             st.sampled_from([-1.0, 0, 1.0, 1, 0.5])), max_size=3))
+    def test_compatible_is_the_sign_at_every_point(self, labelled, changes):
+        depth, labels = labelled
+        scheme = CantorScheme(depth=depth, cells=labelled_cells(depth, labels))
+        assert compatible(labelled_functions(depth, labels), scheme)
+        funcs = labelled_functions(depth, labels, changes)
+        assert compatible(funcs, scheme) == compatible_by_points(funcs, scheme.cells, POINTS)
+
+    def test_both_verdicts_and_several_piece_cells_are_drawn(self):
+        # the cells (1,) and (-1,) of this labelling have three and two pieces
+        labels = [(1,), (-1,), (1,), None, (1,), (-1,), None, None]
+        scheme = CantorScheme(depth=1, cells=labelled_cells(1, labels))
+        assert len(scheme.cells[(1,)]) == 3 and len(scheme.cells[(-1,)]) == 2
+        assert compatible(labelled_functions(1, labels), scheme)
+        for changes in ([(0, 2, -1.0)], [(0, 5, 0)], [(0, 4, 0.5)]):
+            funcs = labelled_functions(1, labels, changes)
+            assert not compatible(funcs, scheme)
+            assert not compatible_by_points(funcs, scheme.cells, POINTS)
+        # an atom off the root may take any value
+        assert compatible(labelled_functions(1, labels, [(0, 3, -1.0)]), scheme)
+
+    @pytest.mark.parametrize("cells, fault", [
+        # both parents of level 1 have a child outside them
+        ({(-1, 1): (iv(1, 3),), (1, 1): (iv(0, 1), iv(3, 4))}, "children of (-1,) not nested"),
+        # the first overlaps its sibling, the second pokes out
+        ({(-1, 1): (iv(2, 4),), (1, -1): (iv(1, 3),)}, "children of (-1,) overlap"),
+        # the first pokes out, the second overlaps its sibling
+        ({(-1, -1): (iv(3, 4), iv(0, 1)), (1, 1): (iv(0, 2),)}, "children of (-1,) not nested"),
+        # a fault of level 0 comes before those of level 1
+        ({(1,): (iv(0, 3),), (-1, 1): (iv(1, 3),)}, "children of () overlap"),
+    ])
+    def test_two_faulty_parents_name_the_first_in_product_order(self, cells, fault):
+        cells = {**toy_scheme().cells, **cells}
+        assert scheme_fault_by_points(cells, 2, [F(x) for x in range(5)]) == fault
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+            CantorScheme(depth=2, cells=cells)
 
 
 class TestRademacher:

@@ -1,14 +1,18 @@
+import re
 from fractions import Fraction
 from itertools import count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordtensor.ordinal import OMEGA, Ordinal, omega_pow
 from ordtensor.schreier import Base, BudgetExceeded, Conv, decompose, member
 from ordtensor.space import (
     Iv,
+    StepFunction,
     compatible,
     default_selector,
+    normalize_union,
     rademacher,
 )
 from ordtensor.trees import (
@@ -19,6 +23,7 @@ from ordtensor.trees import (
     build_tree,
     cantor_scheme,
     rank_finite,
+    scheme_of,
 )
 
 from oracles import (
@@ -26,8 +31,11 @@ from oracles import (
     cantor_cells_reference,
     finite_node_ranks,
     node_function_reference,
+    points_of,
+    scheme_cells_by_points,
     subsets,
 )
+from test_space import ATOMS, POINTS, atom_labels, labelled_cells, labelled_functions
 
 F = Ordinal.from_int
 W = OMEGA
@@ -299,6 +307,33 @@ class TestCantorScheme:
         t1 = build_tree(1, max_root=4)
         with pytest.raises(ValueError):
             cantor_scheme(t1, (F(3),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        atom_labels().map(lambda dl: labelled_functions(*dl)),
+        st.lists(st.lists(st.sampled_from([-1.0, 0, 1.0, 1, 0.5]), min_size=len(ATOMS),
+                          max_size=len(ATOMS)), min_size=1, max_size=3).map(
+            lambda rows: [StepFunction(W.mul_nat(2), zip(ATOMS, row)) for row in rows])))
+    def test_cells_match_points(self, funcs):
+        # a labelling's functions give a scheme, cells of several pieces
+        # among them; random sign rows mostly give an empty cell, named
+        # as the first one level by level
+        cells = scheme_cells_by_points(funcs, POINTS)
+        empty = next((d for d, cell in cells.items() if not cell), None)
+        if empty is not None:
+            with pytest.raises(ValueError, match=f"^cell {re.escape(str(empty))} is empty$"):
+                scheme_of(funcs)
+            return
+        scheme = scheme_of(funcs)
+        assert {d: points_of(cell, POINTS) for d, cell in scheme.cells.items()} == cells
+        assert all(normalize_union(cell) == cell for cell in scheme.cells.values())
+        assert compatible(funcs, scheme)
+
+    def test_scheme_of_a_labelling_is_its_cells(self):
+        labels = [(1, -1), (-1, 1), (1, -1), (-1, -1), None, (1, 1), (-1, 1), (1, -1)]
+        scheme = scheme_of(labelled_functions(2, labels))
+        assert scheme.cells[(1, -1)] == normalize_union(labelled_cells(2, labels)[(1, -1)])
+        assert len(scheme.cells[(1, -1)]) == 3
 
     def test_cells_match_whole_union_intersection(self):
         for gamma in (1, 2):
