@@ -125,15 +125,18 @@ def level_step(level: Ordinal, m: int) -> tuple[Ordinal, int]:
     return _diagonal(level, m), 1
 
 
-def _base_block_end(xi: Ordinal, source, start: int) -> int:
-    """Index just past the maximal S_xi block of the source from ``start``.
+def _base_block_end(xi: Ordinal, source, start: int, inner: Ordinal | None = None) -> int:
+    """Index just past the maximal S_xi block of the source from ``start``,
+    or the maximal S_xi[S_inner] block when ``inner`` is given.
 
     Runs an explicit work stack of (level, blocks-remaining) frames, so
     high finite levels (which a set with a large minimum reaches through
     the limit diagonalization) do not recurse.  A level-0 frame of r
     blocks is r singletons, taken in one step by reading the run's last
-    element.  A finite source that ends mid-walk yields its first missing
-    index: the block is cut short there.
+    element; under ``inner`` it is r successive S_inner blocks, each
+    walked in turn, and the levels above read an inner block's minimum
+    where it starts.  A finite source that ends mid-walk yields its first
+    missing index: the block is cut short there.
     """
     pos = start
     stack = [[xi, 1]]
@@ -145,6 +148,13 @@ def _base_block_end(xi: Ordinal, source, start: int) -> int:
         level = frame[0]
         if level.is_zero():
             stack.pop()
+            if inner is not None:
+                for _ in range(frame[1]):
+                    end = _base_block_end(inner, source, pos)
+                    if end == pos:
+                        return pos  # the source ends between inner blocks
+                    pos = end
+                continue
             try:
                 source[pos + frame[1] - 1]
             except IndexError:
@@ -160,37 +170,6 @@ def _base_block_end(xi: Ordinal, source, start: int) -> int:
     return pos
 
 
-class _MinimaView:
-    """Presents the minima of successive S_xi blocks as a sequence.
-
-    Inner blocks are walked only as far as the outer walk asks, so a
-    convolution block never looks past its own end.  Past the end of a
-    finite source the view ends too: an empty block raises IndexError.
-    """
-
-    def __init__(self, xi: Ordinal, source, start: int):
-        self._xi = xi
-        self._source = source
-        self._positions = [start]
-
-    def __getitem__(self, i: int) -> int:
-        return self._source[self.position(i)]
-
-    def __len__(self) -> int:
-        """The first missing index, once a read has failed: positions
-        stop at the first one past the source's end."""
-        return len(self._positions) - 1
-
-    def position(self, i: int) -> int:
-        positions = self._positions
-        while len(positions) <= i:
-            end = _base_block_end(self._xi, self._source, positions[-1])
-            if end == positions[-1]:
-                raise IndexError(i)
-            positions.append(end)
-        return positions[i]
-
-
 def _take_block(fam: Family, source, start: int) -> int:
     """Index just past the maximal fam-block starting at ``start``.
 
@@ -201,16 +180,15 @@ def _take_block(fam: Family, source, start: int) -> int:
     block returned is a complete maximal member.  Pulls exactly the
     elements it needs.
 
-    ``S_0`` is the family of singletons, so the minima of ``S_0`` blocks
-    are the elements themselves and an ``S_zeta[S_0]`` block is an
-    ``S_zeta`` block: it is walked as one, with no view of minima.
+    A convolution block is walked as an S_zeta block whose level-0 runs
+    are runs of S_xi blocks.  ``S_0`` is the family of singletons, so an
+    ``S_zeta[S_0]`` block is an ``S_zeta`` block and is walked as one.
     """
     if isinstance(fam, Base):
         return _base_block_end(fam.xi, source, start)
     if fam.xi.is_zero():
         return _base_block_end(fam.zeta, source, start)
-    view = _MinimaView(fam.xi, source, start)
-    return view.position(_base_block_end(fam.zeta, view, 0))
+    return _base_block_end(fam.zeta, source, start, fam.xi)
 
 
 def member(fam: Family, E: Iterable[int]) -> bool:

@@ -163,15 +163,7 @@ class StepFunction:
         raise AttributeError("StepFunction is immutable")
 
     def __call__(self, pt) -> float:
-        pt = as_ordinal(pt)
-        if pt > self.top:
-            raise ValueError(f"{pt} is outside [0, {self.top}]")
-        # the pieces are sorted and disjoint: only the first one that
-        # reaches pt can hold it
-        j = bisect.bisect_left(self.pieces, pt, key=lambda pv: pv[0].hi)
-        if j < len(self.pieces) and self.pieces[j][0].contains(pt):
-            return self.pieces[j][1]
-        return 0
+        return values_at([self], [pt])[0][0]
 
     def sup_norm(self) -> float:
         return max((abs(v) for _, v in self.pieces), default=0)
@@ -352,6 +344,9 @@ class CantorScheme:
                     raise ValueError(f"children of {d} not nested")
                 if meet(minus, plus):
                     raise ValueError(f"children of {d} overlap")
+        for d in cells:
+            if not (isinstance(d, tuple) and len(d) <= self.depth and set(d) <= {-1, 1}):
+                raise ValueError(f"cell key {d!r} is not a sign sequence of length <= {self.depth}")
         object.__setattr__(self, "cells", cells)
 
     def leaves(self) -> list[Sign]:

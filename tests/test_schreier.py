@@ -316,9 +316,11 @@ class TestStepwiseAgreement:
         assert new == old
         assert new[0][0] is error and new[1] == 2
 
-    def test_cut_run_of_minima_stops_at_the_source_end(self):
-        # a run of a million minima over a two-element set reads no
-        # further than the set, as a one-at-a-time walk does
+    @pytest.mark.parametrize("fam", [Conv(1, 0), Conv(1, 1)], ids=["inner-S0", "inner-S1"])
+    def test_cut_run_of_minima_stops_at_the_source_end(self, fam):
+        # a run of a million minima (or of a million inner S_1 blocks)
+        # over a two-element set reads no further than the set, as a
+        # one-at-a-time walk does
         reads = []
 
         class Source:
@@ -330,7 +332,7 @@ class TestStepwiseAgreement:
                 return len(seq)
 
         seq = (10**6, 10**6 + 1)
-        assert _take_block(Conv(1, 0), Source(), 0) == 2
+        assert _take_block(fam, Source(), 0) == 2
         assert len(reads) < 10
 
     def test_multi_block_transfinite_frame(self):

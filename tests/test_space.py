@@ -301,6 +301,14 @@ class TestCantorScheme:
         with pytest.raises(ValueError, match=r"^children of \(\) not nested$"):
             CantorScheme(depth=1, cells=cells)
 
+    @pytest.mark.parametrize("key", [(1, 1), (7,)], ids=["too-long", "not-a-sign"])
+    def test_refuses_a_key_that_is_no_sign_sequence(self, key):
+        # a stray cell would be built, and compatible or to_json misread it
+        cells = {(): (iv(0, 4),), (1,): (iv(0, 2),), (-1,): (iv(2, 4),), key: (iv(0, 1),)}
+        with pytest.raises(ValueError, match=rf"^cell key {re.escape(str(key))} is not a sign "
+                                             r"sequence of length <= 1$"):
+            CantorScheme(depth=1, cells=cells)
+
     def test_unnormalized_cells_match_their_normalized_twin(self):
         # unsorted pieces, an empty piece, and cells split into touching pieces
         ragged = {
