@@ -18,6 +18,7 @@ import io
 import json
 import math
 import operator
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -192,6 +193,8 @@ class ScenarioConfig:
         for name in ("blocks", "samples", "block_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         try:
             eps = Fraction(self.eps)
         except ZeroDivisionError:
@@ -839,6 +842,14 @@ def _emit(reports: list[Report], cfg: ScenarioConfig) -> int:
     return 0 if all(r.passed() for r in reports) else 1
 
 
+def _check_out(path: str) -> None:
+    """Refuse an output path that is a directory, or whose directory is
+    missing or not writable, so that a run does not end in a failed
+    write after every scenario."""
+    if os.path.isdir(path) or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+        raise ValueError(f"cannot write the report to {path}")
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -1010,6 +1021,8 @@ def _run_command(args) -> int:
         return 0
 
     cfg = _cfg_from(args)
+    if cfg.out:
+        _check_out(cfg.out)
     reports = run_all(cfg) if args.action == "all" else [SCENARIOS[args.action].run(cfg)]
     return _emit(reports, cfg)
 

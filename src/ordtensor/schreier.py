@@ -250,9 +250,14 @@ def split_blocks(fam: Family, E: Iterable[int]) -> tuple[tuple[int, ...], ...]:
 
 def _split(fam: Family, E: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """:func:`split_blocks` of a set that :func:`as_finite_set` has
-    already checked: the descents split slices of such sets."""
+    already checked: the descents split slices of such sets.
+
+    ``S_0`` is the family of singletons, so a split by ``Base(0)`` takes
+    the elements one by one, with no block walk."""
     if not E:
         raise ValueError("cannot split the empty set")
+    if isinstance(fam, Base) and fam.xi.is_zero():
+        return tuple(zip(E))
     blocks = []
     i = 0
     while i < len(E):

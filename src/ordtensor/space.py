@@ -330,6 +330,8 @@ class CantorScheme:
     cells: Mapping[Sign, tuple[Iv, ...]]
 
     def __post_init__(self):
+        if self.depth < 0:
+            raise ValueError(f"scheme depth must be non-negative, got {self.depth}")
         cells = {d: normalize_union(cell) for d, cell in self.cells.items()}
         for k in range(self.depth + 1):
             for d in product((-1, 1), repeat=k):

@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain
 from typing import Mapping
 
@@ -353,6 +353,12 @@ def verify_perm(xi, zeta, blocks) -> PermReport:
     * the squares of the q-weighted p-sums add to 1 over each maximal
       S_zeta[S_xi] block (q is constant on each inner segment, so each
       bracket squared is rational).
+
+    The last two are integer tallies over common denominators, with no
+    Fraction: an inner segment's p-sum is a numerator over the lcm of
+    its distinct descent products, and a convolution block's terms
+    ``p_sum**2 * q**2`` are counted by value and summed over the lcm of
+    their denominators.
     """
     xi, zeta = as_ordinal(xi), as_ordinal(zeta)
     conv = Conv(zeta, xi)
@@ -378,22 +384,38 @@ def verify_perm(xi, zeta, blocks) -> PermReport:
             return all(x == 1 for x in r)
         return all(r[cut:] == _prefix_descent(level, inner, full[cut:]) for cut in bounds[:-1])
 
-    @cache  # the l2 segments are the inner blocks again
-    def p_sum(a: int, b: int) -> Fraction:
+    def p_sum(a: int, b: int) -> tuple[int, int]:
+        # the p-sum of a segment as a numerator over the lcm of its
+        # distinct r
+        if b - a == 1:
+            return 1, rp[a]
         counts = Counter(rp[a:b])
         den = math.lcm(*counts)
-        return Fraction(sum(c * (den // r) for r, c in counts.items()), den)
+        return sum(c * (den // r) for r, c in counts.items()), den
 
-    def l2_sum_one(a: int, b: int) -> bool:
-        # q is constant on each inner segment of the block
-        cuts = [a, *(p for p in inner_bounds if a < p < b), b]
-        segments = list(zip(cuts, cuts[1:]))
-        return all(rq[sa:sb].count(rq[sa]) == sb - sa for sa, sb in segments) and (
-            sum(p_sum(sa, sb) ** 2 / rq[sa] for sa, sb in segments) == 1)
+    segments = list(zip([0, *inner_bounds], inner_bounds))
+    sums = [p_sum(a, b) for a, b in segments]
+
+    def l2_sum_one(first: int, last: int) -> bool:
+        # the inner segments first..last-1 make up the block.  q is
+        # constant on each, so its square 1/r times the p-sum n/d squared
+        # is n*n / (d*d*r): the terms are tallied by value and summed
+        # over the lcm of their d*d*r
+        block = segments[first:last]
+        if not all(rq[a:b].count(rq[a]) == b - a for a, b in block if b - a > 1):
+            return False
+        terms = Counter((n, d * d * rq[a]) for (a, _), (n, d) in zip(block, sums[first:last]))
+        den = math.lcm(*(dr for _, dr in terms))
+        return sum(c * n * n * (den // dr) for (n, dr), c in terms.items()) == den
+
+    # a maximal convolution block is a run of maximal S_xi blocks, so
+    # every convolution cut is an inner cut
+    last_segment = {b: i + 1 for i, b in enumerate(inner_bounds)}
+    conv_segments = [last_segment[b] for b in conv_bounds]
 
     return PermReport(
         permanent(rp, xi, None, inner_bounds),
         permanent(rq, zeta, xi, conv_bounds),
-        all(p_sum(a, b) == 1 for a, b in zip([0, *inner_bounds], inner_bounds)),
-        all(l2_sum_one(a, b) for a, b in zip([0, *conv_bounds], conv_bounds)),
+        all(n == d for n, d in sums),
+        all(l2_sum_one(i, j) for i, j in zip([0, *conv_segments], conv_segments)),
     )

@@ -603,6 +603,27 @@ class TestCliInputErrors:
         if "--block-budget" in argv and int(argv[argv.index("--block-budget") + 1]) < 1:
             assert "budget" in lines[0]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "all", "--out", "/nonexistent/dir/x"],
+         "ordtensor: error: cannot write the report to /nonexistent/dir/x"),
+        (["verify", "all", "--seed", "-1"],
+         "ordtensor: error: seed must be non-negative, got -1"),
+    ], ids=["out-without-directory", "seed-negative"])
+    def test_refused_before_any_scenario_runs(self, argv, message, monkeypatch, capsys):
+        # the input is refused up front, not after every scenario has run
+        ran = []
+        monkeypatch.setattr(harness, "run_all", lambda cfg: ran.append(cfg) or [])
+        assert main(argv) == 2
+        assert ran == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+
+    def test_out_that_is_a_directory_is_refused(self, tmp_path, capsys):
+        argv = ["verify", "perm", "--blocks", "1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"ordtensor: error: cannot write the report to {tmp_path}\n")
+
     def test_node_past_the_width_bound_names_the_node(self, capsys):
         # the node's blocks are 2^20000 wide: refused before any end is
         # computed, rather than failing to print a 6021-digit coefficient

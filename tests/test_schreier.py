@@ -403,6 +403,27 @@ class TestConvolutionOfSingletons:
                    for i in range(len(seq) + 1))
 
 
+class TestSplitBySingletons:
+    """A split by S_0 takes the elements one by one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(increasing_tuples())
+    def test_singletons_agree_with_the_stepwise_walk(self, E):
+        blocks = split_blocks(Base(0), E)
+        assert blocks == tuple((e,) for e in E)
+        assert all(stepwise_block_len(Base(0), E, i) == 1 for i in range(len(E)))
+
+    def test_takes_no_block_walk(self, monkeypatch):
+        import ordtensor.schreier as schreier
+
+        def walk(*args):
+            raise AssertionError("a split by S_0 walked a block")
+
+        monkeypatch.setattr(schreier, "_base_block_end", walk)
+        E = tuple(range(8, 2048))
+        assert split_blocks(Base(0), E) == tuple((e,) for e in E)
+
+
 class TestMembers:
     """The walk by extension finds exactly the members of a ground set."""
 
@@ -463,8 +484,9 @@ class TestCanonicalRep:
 
     def test_errors(self):
         assert not member(Conv(1, 1), (1, 2, 3))
-        with pytest.raises(ValueError):
-            split_blocks(Base(1), ())
+        for fam in (Base(0), Base(1)):
+            with pytest.raises(ValueError, match="empty set"):
+                split_blocks(fam, ())
 
 
 class TestSuccessoridentity:

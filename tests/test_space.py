@@ -309,6 +309,12 @@ class TestCantorScheme:
                                              r"sequence of length <= 1$"):
             CantorScheme(depth=1, cells=cells)
 
+    def test_refuses_a_negative_depth(self):
+        # no sign sequence has a negative length: the scheme would have
+        # no cells, and its leaves could not be listed
+        with pytest.raises(ValueError, match=r"^scheme depth must be non-negative, got -1$"):
+            CantorScheme(depth=-1, cells={})
+
     def test_unnormalized_cells_match_their_normalized_twin(self):
         # unsorted pieces, an empty piece, and cells split into touching pieces
         ragged = {

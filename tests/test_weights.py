@@ -300,6 +300,63 @@ class TestVerifyPerm:
         monkeypatch.setattr(weights, "_prefix_descent", off_on_suffix)
         assert not getattr(verify_perm(xi, zeta, blocks), identity)
 
+    @pytest.mark.parametrize("xi, zeta, start, k", [(1, 1, 2, 2), (2, 1, 2, 1), (1, 2, 2, 1)])
+    @pytest.mark.parametrize("broken", ["p-sum", "l2-term", "q-constancy"])
+    def test_a_broken_tally_fails(self, monkeypatch, xi, zeta, start, k, broken):
+        # the descent of the whole set is broken on the second inner
+        # segment [a, b): one p halved, every q on it halved, or only its
+        # last q halved, which leaves the tally of the segment's first q
+        # at 1 and is caught by the constancy check alone
+        import ordtensor.weights as weights
+
+        blocks = decompose(Conv(zeta, xi), count(start), k, max_elements=5000)
+        full = tuple(chain.from_iterable(blocks))
+        first, second = split_blocks(Base(xi), full)[:2]
+        a, b = len(first), len(first) + len(second)
+        assert b - a > 1
+        real = weights._prefix_descent
+
+        def broken_descent(level, inner, E):
+            rs = real(level, inner, E)
+            if E != full:
+                return rs
+            if broken == "p-sum" and inner is None:
+                rs[a] *= 2
+            elif broken == "l2-term" and inner is not None:
+                rs[a:b] = [4 * r for r in rs[a:b]]
+            elif broken == "q-constancy" and inner is not None:
+                rs[b - 1] *= 4
+            return rs
+
+        assert verify_perm(xi, zeta, blocks).all_pass()
+        monkeypatch.setattr(weights, "_prefix_descent", broken_descent)
+        rep = verify_perm(xi, zeta, blocks)
+        assert not rep.l2_convex
+        assert rep.convex == (broken != "p-sum")
+        assert rep == verify_perm_reference(xi, zeta, blocks)
+
+    @pytest.mark.parametrize("broken", [None, "p-sum", "l2-term"])
+    def test_long_block_of_singletons(self, monkeypatch, broken):
+        # one S_2[S_0] block of 2040 elements from 8: 2040 inner segments
+        # of one element each, whole or with the p or q of one halved
+        import ordtensor.weights as weights
+
+        blocks = decompose(Conv(2, 0), count(8), 1, max_elements=5000)
+        assert len(blocks[0]) == 2040
+        real = weights._prefix_descent
+
+        def broken_descent(level, inner, E):
+            rs = real(level, inner, E)
+            if broken == ("p-sum" if inner is None else "l2-term"):
+                rs[1000] *= 4
+            return rs
+
+        monkeypatch.setattr(weights, "_prefix_descent", broken_descent)
+        rep = verify_perm(0, 2, blocks)
+        assert rep.convex == (broken != "p-sum")
+        assert rep.l2_convex == (broken is None)
+        assert rep == verify_perm_reference(0, 2, blocks)
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.sampled_from([0, 1, 2, OMEGA]),
