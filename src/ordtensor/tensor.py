@@ -78,10 +78,11 @@ def _takes_cutting(m: int, n: int) -> bool:
     planes instead of an epigraph LP: past ``MAX_EPIGRAPH_VARS``, or with
     at least ``2*m*n`` sign rows ``P = 2^(m-1)``, which takes 8x8 and
     9x9 to 9x14 and never a block with ``m <= 7`` (best of 2 on a 2-vCPU
-    host, epigraph against cutting, dense draws: 7x7 36-44 against 59-119
-    ms, 7x12 96 against 955, 8x8 131-165 against 86-128, 8x9 178-210
-    against 67-108, 8x10 188-264 against 216-688, 9x9 612-800 against
-    191-397 ms, 9x10 cutting in 2 of 3 draws)."""
+    host, epigraph against cutting, one block, dense draws of seeds 0-2:
+    7x7 22-36 against 11-24 ms, 7x12 69-71 against 214-254, 8x8 98-110
+    against 22-43, 8x9 153-160 against 55-61, 8x10 156-214 against
+    38-254, 9x9 552-789 against 119-175, 9x10 631-729 against 137-270
+    ms)."""
     return _epigraph_vars(m, n) > MAX_EPIGRAPH_VARS or 1 << (m - 1) >= 2 * m * n
 
 
@@ -612,6 +613,17 @@ def _lp(mats: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
 
 
 def _solve_cutting(U: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and ``B`` of the model U (no more rows than columns) by
+    cutting planes over the sign constraints.
+
+    A cut ``eps (x) delta`` that is tight at the optimal B is aligned
+    with it both ways: ``delta = sign(B^T eps)`` and ``eps = sign(B
+    delta)``.  The first LP guesses B's signs from U's: for each row sign
+    vector eps, it takes ``delta = sign(eps^T U)`` and the two dyads
+    ``eps (x) delta`` and ``sign(U delta) (x) delta``, the second being
+    the other half of one alternating step towards such a pair (zeros
+    signed +1, a dyad seen before dropped).  Each round then adds up to
+    64 of the most violated rows' cuts, ``delta = sign(B^T eps)``."""
     m, n = U.shape
     E = _signs(m, fix_first=True)
     rows, seen = [], set()
@@ -628,7 +640,10 @@ def _solve_cutting(U: np.ndarray) -> tuple[float, np.ndarray]:
     cost = -W.reshape(-1)
     for e in E:
         row = e @ W
-        add_cut(np.outer(e, np.sign(row) + (row == 0)))
+        delta = np.sign(row) + (row == 0)
+        add_cut(np.outer(e, delta))
+        col = W @ delta
+        add_cut(np.outer(np.sign(col) + (col == 0), delta))
     for _ in range(300):
         ones = np.ones(len(rows))
         res = linprog(
@@ -670,7 +685,12 @@ class PiSolver:
       ``delta = sign(B^T eps)`` (Kelley, J. SIAM 8, 1960), each cut one
       two-sided row ``-1 <= <eps (x) delta, B> <= 1``, its LPs solved
       with HiGHS presolve off (best of 5: the 10x10 dense model of the
-      benchmark 388 -> 343 ms, a dense 8x8 55 -> 44 ms).
+      benchmark 111 -> 98 ms, its dense 8x8 28 -> 23 ms).  The first LP
+      is seeded from both sides of the model (:func:`_solve_cutting`):
+      for each row sign vector eps, the dyad ``eps (x) delta`` aligned
+      with the row ``eps^T U``, and its partner realigned with the
+      column ``U delta``.  The 10x10 model of the benchmark takes one LP
+      instead of three.
 
     The route goes by block shape (:func:`_takes_cutting`).  Both go to
     HiGHS through :func:`linprog`, and both produce a certificate
@@ -926,6 +946,8 @@ def weak_2_norm_pi_lower(
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     stack = _stack(us)
     k = len(stack)
     solver = PiSolver()

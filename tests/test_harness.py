@@ -618,6 +618,13 @@ class TestCliInputErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message + "\n"
 
+    def test_weak_2_refuses_a_negative_seed(self, capsys):
+        argv = ["tensor", "weakp", "--p", "2", "--matrices", "[[[1]]]", "--seed", "-3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ordtensor: error: seed must be non-negative, got -3\n"
+
     def test_out_that_is_a_directory_is_refused(self, tmp_path, capsys):
         argv = ["verify", "perm", "--blocks", "1", "--out", str(tmp_path)]
         assert main(argv) == 2

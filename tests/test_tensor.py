@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, hadamard
 
 from ordtensor import harness, tensor
 from ordtensor.tensor import (
@@ -612,6 +612,57 @@ class TestPiSolver:
         assert abs(got - want) < 1e-9
         assert sign_norm(B) <= 1 + 1e-9
 
+    def test_cutting_seeds_both_sides_of_each_row_sign(self, monkeypatch):
+        # the first LP holds, for each row sign vector eps, the dyad
+        # eps (x) delta with delta = sign(eps^T W) and its partner
+        # sign(W delta) (x) delta, zeros taken as +1, each row once
+        first = []
+        real = tensor.linprog
+
+        def spy(cost, A, *args, **kw):
+            if not first:
+                first.append(np.asarray(A))
+            return real(cost, A, *args, **kw)
+
+        monkeypatch.setattr(tensor, "linprog", spy)
+        W = np.random.default_rng(9).uniform(-1, 1, (9, 9))
+        tensor._solve_cutting(W)
+        rows = [row.tobytes() for row in first[0]]
+        assert len(set(rows)) == len(rows)
+        want = set()
+        for e in tensor._signs(9, fix_first=True):
+            delta = np.where(e @ W >= 0, 1.0, -1.0)
+            partner = np.where(W @ delta >= 0, 1.0, -1.0)
+            want.add(np.outer(e, delta).reshape(-1).tobytes())
+            want.add(np.outer(partner, delta).reshape(-1).tobytes())
+        assert set(rows) == want
+        assert len(want) > 2**8  # some partners are new rows
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["hadamard", "cycle", "signed-cycle", "identity-plus-quarter", "ternary"],
+    )
+    def test_cutting_route_on_tied_blocks(self, kind):
+        # ties and zeros in eps^T W and W delta: the zero-to-+1 rule and
+        # the dropped duplicate rows
+        n = 8
+        cycle = np.eye(n) + np.roll(np.eye(n), 1, axis=1)
+        if kind == "hadamard":
+            W = hadamard(n).astype(float)
+        elif kind == "cycle":
+            W = cycle
+        elif kind == "signed-cycle":
+            W = cycle
+            W[n - 1, 0] = -1.0
+        elif kind == "identity-plus-quarter":
+            W = np.eye(n) + np.ones((n, n)) / 4
+        else:
+            W = np.random.default_rng(8).integers(-1, 2, (n, n)).astype(float)
+        [(want, _)] = tensor._solve_epigraphs([W], [tensor._build_epigraph(n, n)])
+        got, B = tensor._solve_cutting(W)
+        assert abs(got - want) < 1e-9
+        assert sign_norm(B) <= 1 + 1e-9
+
     def test_route_by_block_shape(self):
         # the epigraph LP for every shape with m <= 7 within its budget;
         # cutting planes for 8x8 and 9x9 to 9x14 within it, and past it
@@ -946,6 +997,10 @@ class TestWeakNorms:
         value = weak_2_norm_pi_lower([u, np.zeros((2, 2))], samples=0)
         assert solve_all_rounds[:2] == [2, 1]
         assert value == pi_norm(u)[0]
+
+    def test_weak2_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -3$"):
+            weak_2_norm_pi_lower([np.eye(2)], seed=-3)
 
     def test_weak2_deterministic(self):
         us = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(3)]
