@@ -85,8 +85,25 @@ def _iv_sort_key(iv: Iv):
     return (0, ZERO) if iv.lo is None else (1, iv.lo)
 
 
+def _is_normal(ivs: tuple[Iv, ...]) -> bool:
+    """Whether every piece is non-empty and ends before the next starts."""
+    prev = None
+    for iv in ivs:
+        if iv.is_empty() or (prev is not None and (iv.lo is None or iv.lo <= prev.hi)):
+            return False
+        prev = iv
+    return True
+
+
 def normalize_union(ivs: Iterable[Iv]) -> tuple[Iv, ...]:
-    """Sort, drop empties, and merge touching intervals."""
+    """Sort, drop empties, and merge touching intervals.
+
+    A tuple already in that form, non-empty pieces each ending before the
+    next one starts, comes back as it is after one pass over it: the
+    cells that ``trees.scheme_of`` builds with :func:`meet` are
+    normalized, and :class:`CantorScheme` does not sort them again."""
+    if isinstance(ivs, tuple) and _is_normal(ivs):
+        return ivs
     parts = sorted((iv for iv in ivs if not iv.is_empty()), key=_iv_sort_key)
     out: list[Iv] = []
     for iv in parts:
@@ -322,8 +339,10 @@ class CantorScheme:
 
     For every ``d`` shorter than the depth, the two children partition
     into the parent: ``A_{d^(-1)}`` and ``A_{d^(1)}`` are disjoint,
-    non-empty, and contained in ``A_d``.  Each cell is normalized once,
-    here, so the scheme's cells are normalized unions.
+    non-empty, and contained in ``A_d``.  Each cell is normalized here,
+    so the scheme's cells are normalized unions; a cell that is one
+    already, as ``trees.scheme_of`` builds them, is taken as it is
+    (:func:`normalize_union`).
     """
 
     depth: int

@@ -15,7 +15,8 @@ finite.  Over these models:
   call site, :func:`linprog`, scipy's ``milp`` with no integer variable.
   The certificate form runs as one epigraph LP, or as cutting planes
   with HiGHS presolve off, by block shape (:func:`_takes_cutting` holds
-  the rule and its measurements); answers are keyed on the block.
+  the rule and its measurements); a block of rank one or with two rows
+  has a closed form and no LP; answers are keyed on the block.
 
 Weakly p-summing norms of vector and matrix families are provided with
 the budgets they admit: exact sign enumeration for the weak-1 norm, and
@@ -82,7 +83,8 @@ def _takes_cutting(m: int, n: int) -> bool:
     7x7 22-36 against 11-24 ms, 7x12 69-71 against 214-254, 8x8 98-110
     against 22-43, 8x9 153-160 against 55-61, 8x10 156-214 against
     38-254, 9x9 552-789 against 119-175, 9x10 631-729 against 137-270
-    ms)."""
+    ms).  A block with two rows takes neither route: :class:`PiSolver`
+    values it in closed form (:func:`_two_rows`)."""
     return _epigraph_vars(m, n) > MAX_EPIGRAPH_VARS or 1 << (m - 1) >= 2 * m * n
 
 
@@ -402,15 +404,24 @@ def _normalize(W: np.ndarray, A: np.ndarray):
 
 def _oriented(W: np.ndarray, A: np.ndarray, rows, cols) -> Block:
     """The normalized block of W, the submatrix of U on ``rows`` and
-    ``cols``, with no more rows than columns: a tall W is transposed, and
-    a square W takes the smaller in bytes of its two orientations, so
-    that a transpose of U has the same blocks."""
+    ``cols``, with no more rows than columns, so that a transpose of U
+    has the same blocks: a tall W is transposed.  A square W is first
+    read by its line profile, ``|W|`` with each row sorted and then each
+    column, which a signed permutation leaves as it is and a transpose
+    swaps with that of ``|W|^T``: where the two profiles differ, only the
+    orientation whose profile is the smaller in bytes is normalized;
+    where they tie, both are, and the smaller normal form in bytes is
+    taken."""
     m, n = W.shape
+    wide, tall = m <= n, m >= n
+    if m == n:
+        profiles = [np.sort(np.sort(X, axis=1), axis=0).tobytes() for X in (A, A.T)]
+        wide, tall = profiles[0] <= profiles[1], profiles[1] <= profiles[0]
     forms = []
-    if m <= n:
+    if wide:
         V, ro, co, rs, cs = _normalize(W, A)
         forms.append(Block(V, rows[ro], cols[co], rs, cs, False))
-    if m >= n:
+    if tall:
         V, co, ro, cs, rs = _normalize(W.T, A.T)
         forms.append(Block(V, rows[ro], cols[co], rs, cs, True))
     return min(forms, key=lambda b: b.matrix.tobytes())
@@ -429,8 +440,9 @@ def normal_form(u) -> tuple[Block, ...]:
     cancels the cross terms, and the sup norm of a direct sum is a max
     (the injective norm is a max of entries anyway).  The zero matrix
     has no block.  Each block is signed and sorted by :func:`_normalize`
-    and turned wide side up by :func:`_oriented`, and the blocks come in
-    order of shape, then entries.  Line norms past the float range are
+    and turned wide side up by :func:`_oriented` (a square block in one
+    orientation, unless the line profiles of the two tie), and the
+    blocks come in order of shape, then entries.  Line norms past the float range are
     inf, which only weakens the screen for signed copies: no warning.
     """
     U = _as_array(u)
@@ -697,15 +709,18 @@ class PiSolver:
     feasible for every sign constraint and optimal over the full
     polytope.
 
-    Each matrix is solved on its :func:`normal_form`.  The projective
-    norm is a cross norm, ``pi(x (x) y) = |x|_inf |y|_inf``, the largest
-    entry of ``x y^T``: a block of rank one, a line among them, is its
-    largest entry p, with the signed unit form at p as certificate
-    (bound 1) and no LP.  :func:`_rank_one` decides it from the bracket
-    ``|p| <= pi(W) <= |p| + ||R||_1`` on the cross residual R, taking
-    the shortcut only where ``||R||_1 <= RANK_ONE_TOL |p|``, a bound
-    1000 times finer than the 1e-9 that the LP route is held to.
-    The other blocks, rows (the smaller side) enumerated, are solved
+    Each matrix is solved on its :func:`normal_form`, whose blocks have
+    no more rows than columns.  The projective norm is a cross norm,
+    ``pi(x (x) y) = |x|_inf |y|_inf``, the largest entry of ``x y^T``: a
+    block of rank one, a line among them, is its largest entry p, with
+    the signed unit form at p as certificate (bound 1) and no LP.
+    :func:`_rank_one` decides it from the bracket ``|p| <= pi(W) <= |p|
+    + ||R||_1`` on the cross residual R, taking the shortcut only where
+    ``||R||_1 <= RANK_ONE_TOL |p|``, a bound 1000 times finer than the
+    1e-9 that the LP route is held to.  A block with two rows a and b is
+    ``(|a + b|_inf + |a - b|_inf) / 2``, since ``l_inf^2`` is isometric
+    to ``l_1^2``, with a certificate of bound exactly 1 and no LP
+    (:func:`_two_rows`).  The other blocks, rows (the smaller side) enumerated, are solved
     together by :func:`_lp`: their epigraph LPs in joint LPs, each the
     direct sum of the next ones in order up to
     ``MAX_JOINT_EPIGRAPH_VARS`` epigraph variables, and the blocks that
@@ -745,7 +760,8 @@ class PiSolver:
         """``[self.solve(U) for U in Us]``, with the blocks of the matrices
         not seen before valued together: each block not in ``_blocks``
         once, by its largest entry if :func:`_rank_one` accepts it, else
-        in one :func:`_lp` call.  Sums of entries near the top of the
+        in closed form if it has two rows (:func:`_two_rows`), else in
+        one :func:`_lp` call.  Sums of entries near the top of the
         float range may overflow on the way, harmlessly; a value past the
         range raises ``ValueError`` in :meth:`_assemble`."""
         keys, new = [], {}
@@ -762,6 +778,8 @@ class PiSolver:
                 continue
             if _rank_one(W):
                 self._blocks[key] = _line_value(W)
+            elif len(W) == 2:
+                self._blocks[key] = _two_rows(W)
             else:
                 lp[key] = W
         self._blocks.update(zip(lp, _lp(list(lp.values()))))
@@ -842,12 +860,34 @@ def _line_value(W: np.ndarray) -> tuple[float, np.ndarray]:
     return float(abs(W.flat[k])), B
 
 
+def _two_rows(W: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and ``B`` of a block with two rows a and b, in closed form.
+
+    ``l_inf^2`` is isometric to ``l_1^2`` by ``(x, y) -> ((x + y) / 2,
+    (x - y) / 2)``, so ``pi(W) = (|a + b|_inf + |a - b|_inf) / 2`` (Ryan,
+    *Introduction to Tensor Products of Banach Spaces*, 2002, section
+    2.3).  With j and k where ``|a + b|`` and ``|a - b|`` are largest,
+    read on :func:`_scaled` so that no sum overflows, and s and t the
+    signs there (zero signed +1), the form ``B = ((1, 1)^T s e_j + (1,
+    -1)^T t e_k) / 2`` attains it: ``(1, 1) B = s e_j`` and ``(1, -1) B =
+    t e_k``, so its sign norm is exactly 1.  The value is read as ``<B,
+    W>``, as for the LP certificates."""
+    a, b = _scaled(W)
+    j, k = int(np.abs(a + b).argmax()), int(np.abs(a - b).argmax())
+    s, t = np.sign(a[j] + b[j]) or 1.0, np.sign(a[k] - b[k]) or 1.0
+    B = np.zeros(W.shape)
+    B[:, j] += s / 2
+    B[:, k] += (t / 2, -t / 2)
+    return float(np.sum(B * W)), B
+
+
 def _from_block(B: np.ndarray, block: Block, shape) -> np.ndarray:
-    """A form on the block's normal form put back on the input model."""
+    """A form on the block's normal form put back on the input model
+    (``+ 0.0`` makes a zero entry that a sign turned into -0.0 plain)."""
     if block.transposed:
         B = B.T
     full = np.zeros(shape)
-    full[np.ix_(block.rows, block.cols)] = B * block.row_signs[:, None] * block.col_signs
+    full[np.ix_(block.rows, block.cols)] = B * block.row_signs[:, None] * block.col_signs + 0.0
     return full
 
 

@@ -75,6 +75,20 @@ class TestIntervals:
         u = normalize_union([Iv(None, F(1)), Iv(None, F(0)), iv(1, 2)])
         assert u == (Iv(None, F(2)),)
 
+    @settings(max_examples=200, deadline=None)
+    @given(int_unions())
+    def test_normalized_tuple_comes_back_as_it_is(self, u):
+        want = normalize_union(iter(u))
+        assert normalize_union(tuple(u)) == want
+        assert normalize_union(want) is want
+
+    def test_tuple_out_of_form_is_normalized(self):
+        # a tuple is kept only if sorted, with no empty piece and no two
+        # pieces touching
+        for bad in ((iv(0, 1), iv(1, 2)), (iv(2, 3), iv(0, 1)), (iv(0, 1), iv(2, 2)),
+                    (iv(0, 1), Iv(None, F(3)))):
+            assert normalize_union(bad) == normalize_union(iter(bad)) != bad
+
     def test_union_ops(self):
         a = (iv(0, 2), iv(4, 6))
         b = (iv(1, 5),)

@@ -112,6 +112,26 @@ TIED_PAIR = (
 )
 
 
+# entries of two-row models: the lattice with a signed zero, floats, and
+# entries near both ends of the float range, those near the top at most
+# 8e307, so that pi <= |a|_inf + |b|_inf stays in it
+two_row_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0]),
+    st.floats(-1, 1, allow_nan=False),
+    st.floats(1e-300, 4e-300).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(1e307, 8e307).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@st.composite
+def two_row_models(draw):
+    """A 2 x n model, n <= 10, its second row maybe a signed copy of the first."""
+    n = draw(st.integers(1, 10))
+    a, b = (np.array(draw(st.lists(two_row_entries, min_size=n, max_size=n))) for _ in range(2))
+    copy = draw(st.sampled_from([None, 1.0, -1.0]))
+    return np.array([a, b if copy is None else copy * a])
+
+
 def moved_pairs_of(U):
     """U and a signed permutation of it."""
     return st.tuples(st.just(U), signed_permutations(U))
@@ -284,11 +304,14 @@ class TestPiNorm:
 
     def test_tolerance_loss_falls_back_to_largest_entry(self):
         # the 2^-23 entry slipped under HiGHS's tolerance and the LP value
-        # came back as 0.99999994, below the largest entry; the LP now
-        # gives 0.749999985 for the second, whose largest entry is -0.75
+        # came back as 0.99999994, below the largest entry; the LP gave
+        # 0.749999985 for the second, whose largest entry is -0.75.  Two
+        # rows now take the closed form, and the third, a 3x3 block, still
+        # comes back from the LP as 0.74999994
         for u, want in (
             ([[2.0**-23, 0.5], [-1.0, -0.5]], 1.0),
             ([[0.5, -0.75], [-3e-8, 0.25]], 0.75),
+            ([[-3e-8, 3e-8, -0.5], [0.25, -0.75, -3e-8], [0.5, -(2.0**-23), -3e-8]], 0.75),
         ):
             u = np.array(u)
             val, cert = pi_norm(u)
@@ -312,6 +335,61 @@ class TestPiNorm:
         val, cert = pi_norm(u)
         B = cert.matrix / cert.bound
         assert pair_dual(u, DualCertificate(B, 1.0)) <= val + 1e-9
+
+
+class TestTwoRows:
+    """Two-row blocks in closed form: ``pi = (|a + b|_inf + |a - b|_inf) / 2``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_row_models())
+    @example(np.array([[1.0, 2.0, 0.0], [3.0, -1.0, 2.0]]))
+    @example(np.array([[8e307, -8e307, 1e-300], [8e307, 8e307, -0.0]]))
+    def test_matches_decomposition(self, U):
+        val, cert = pi_norm(U)
+        assert abs(val - pi_norm_decomposition(U)[0]) <= 1e-9 * val
+        assert cert.bound == 1.0
+        # <B, U> is the value, up to the order in which its terms are summed
+        assert abs(pair_dual(U, cert) - val) <= 1e-12 * val
+        assert not np.signbit(cert.matrix[cert.matrix == 0]).any()
+
+    def test_dense_two_rows_need_no_lp(self, linprog_calls):
+        u = np.random.default_rng(27).uniform(-1, 1, (2, 7))
+        val, cert = pi_norm(u)
+        assert linprog_calls == []
+        a, b = u
+        assert abs(val - (np.abs(a + b).max() + np.abs(a - b).max()) / 2) <= 1e-15 * val
+        assert abs(val - two_sided_pi_norm(u)) < 1e-9
+        assert cert.bound == 1.0
+
+    def test_two_row_family_needs_no_lp(self):
+        local = np.random.default_rng(28)
+        us = [local.uniform(-1, 1, (2, 4)) for _ in range(4)]
+        with counting_linprog() as calls:
+            value = weak_1_norm_pi(us)
+        assert calls == []
+        sums = np.tensordot(tensor._signs(4, fix_first=True), np.stack(us), axes=1)
+        assert abs(value - max(two_sided_pi_norm(u) for u in sums)) < 1e-9
+
+    def test_verify_all_sends_no_two_row_block_to_the_lp(self, monkeypatch):
+        shapes = []
+        real = tensor._lp
+
+        def spy(mats):
+            shapes.extend(W.shape for W in mats)
+            return real(mats)
+
+        monkeypatch.setattr(tensor, "_lp", spy)
+        harness.run_all(harness.ScenarioConfig(seed=1))
+        assert shapes and all(m != 2 for m, _ in shapes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(max_rows=4, max_cols=4))
+    @example(np.array([[1.0, 2.0, 0.0], [3.0, -1.0, 2.0]]))
+    def test_no_certificate_has_a_negative_zero(self, U):
+        # the signs that put a block's form back on the input turned its
+        # zero entries into -0.0, which `tensor pi` printed
+        cert = pi_norm(U)[1].matrix
+        assert not np.signbit(cert[cert == 0]).any()
 
 
 class TestNormalForm:
@@ -458,6 +536,39 @@ class TestNormalForm:
                 V = V * local.choice([-1.0, 1.0], (m, 1)) * local.choice([-1.0, 1.0], n)
                 assert searched(V) == want
                 assert searched(V.T) == want
+
+    @pytest.mark.parametrize(
+        "U, normalized",
+        [
+            (np.array([[1.0, 2, 3], [0, 0, -1], [0, 1, 0]]), 1),
+            (np.random.default_rng(29).uniform(-1, 1, (4, 4)), 1),
+            (hadamard(4).astype(float), 2),
+            (np.ones((5, 5)) - np.eye(5), 2),
+        ],
+        ids=["sparse-3", "dense-4", "hadamard-4", "J-I-5"],
+    )
+    def test_square_block_is_normalized_once_unless_its_profiles_tie(
+        self, monkeypatch, U, normalized
+    ):
+        # the line profiles of |U| and |U|^T differ, and pick the one
+        # orientation to normalize, or tie, and both are normalized
+        calls = []
+        real = tensor._normalize
+
+        def spy(W, A):
+            calls.append(W.shape)
+            return real(W, A)
+
+        monkeypatch.setattr(tensor, "_normalize", spy)
+        want = _blocks(normal_form(U))
+        assert len(calls) == normalized
+        local = np.random.default_rng(30)
+        m, n = U.shape
+        for _ in range(4):
+            V = U[local.permutation(m)][:, local.permutation(n)]
+            V = V * local.choice([-1.0, 1.0], (m, 1)) * local.choice([-1.0, 1.0], n)
+            assert _blocks(normal_form(V)) == want
+            assert _blocks(normal_form(V.T)) == want
 
     @settings(max_examples=40, deadline=None)
     @given(padded_block_models())

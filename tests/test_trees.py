@@ -5,6 +5,7 @@ from itertools import count
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordtensor import harness, space
 from ordtensor.ordinal import OMEGA, Ordinal, omega_pow
 from ordtensor.schreier import Base, BudgetExceeded, Conv, decompose, member
 from ordtensor.space import (
@@ -256,6 +257,29 @@ class TestChainReading:
 
 
 class TestCantorScheme:
+    def test_scheme_of_normalizes_each_cell_once(self, monkeypatch):
+        # the 2047 cells of the (1, 1, 2) sharpness branch come out of
+        # meet normalized, and the scheme keeps them as they are: the only
+        # unions sorted are the support and the preimages that scheme_of
+        # reads from the functions
+        captured = []
+        monkeypatch.setattr(
+            harness, "scheme_of", lambda funcs: captured.append(funcs) or scheme_of(funcs)
+        )
+        harness.run_sharpness(harness.ScenarioConfig(xi="1", zeta="1", stream="2"))
+        (funcs,) = captured
+        sorted_pieces = []
+        real = space._iv_sort_key
+        monkeypatch.setattr(space, "_iv_sort_key", lambda iv: sorted_pieces.append(iv) or real(iv))
+        funcs[0].support()
+        for f in funcs:
+            f.preimage(-1.0), f.preimage(1.0)
+        read = len(sorted_pieces)
+        sorted_pieces.clear()
+        scheme = scheme_of(funcs)
+        assert len(scheme.cells) == 2047
+        assert len(sorted_pieces) == read
+
     def test_branch_cells_match_hand_computation(self):
         t1 = build_tree(1, max_root=4)
         scheme = cantor_scheme(t1, (F(1), F(0)))
